@@ -12,15 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientData, ZeroBias, ZeroVariance
-from .kernels import (
-    BasisKind,
-    basis_matrix,
-    classify_region,
-    factorial,
-    kernel_value,
-    moments,
-)
+from .errors import InsufficientData, NonPositiveVariance, ZeroBias, ZeroVariance
+from .kernels import classify_region, factorial, moments
 from .lpfit import fit_local, derivative_estimate
 from .sample import Sample, edf
 from .variance import gamma_hat
@@ -53,11 +46,7 @@ def preliminary_bandwidth(sample: Sample) -> float:
     if sd <= 0:
         raise ZeroVariance("sample standard deviation is zero")
     ell = 1.06 * sd * sample.n ** (-0.2)
-    if np.isfinite(sample.support_range):
-        cap = sample.support_range / 2.0
-    else:
-        cap = (sample.values[-1] - sample.values[0]) / 2.0
-    return min(ell, cap)
+    return min(ell, sample.span / 2.0)
 
 
 def estimate_bias_constants(
@@ -71,30 +60,21 @@ def estimate_bias_constants(
     (rate n^{-1/(2p+5)}), since high derivatives at the density-pilot scale
     are far too noisy.
     """
-    values = sample.values
-    lo = int(np.searchsorted(values, x - ell, side="left"))
-    hi = int(np.searchsorted(values, x + ell, side="right"))
-    xw = values[lo:hi]
-    if len(xw) < p + 3:
+    fit = fit_local(sample, x, ell, p, kernel)
+    if fit.m_eff < p + 3:
         raise InsufficientData(
-            f"pilot window holds {len(xw)} points, need {p + 3}"
+            f"pilot window holds {fit.m_eff} points, need {p + 3}"
         )
-    u = (xw - x) / ell
-    w = kernel_value(kernel, u) / ell
-    R = basis_matrix(u, p, BasisKind.STANDARD)
+    R, w, u = fit.R, fit.w, fit.u
     n = sample.n
-    S = (R * w[:, None]).T @ R / n
     c_hat = R.T @ (w * u ** (p + 1)) / n
     ct_hat = R.T @ (w * u ** (p + 2)) / n
-    Sinv_c = np.linalg.solve(S, c_hat)
-    Sinv_ct = np.linalg.solve(S, ct_hat)
+    Sinv_c = np.linalg.solve(fit.S_hat, c_hat)
+    Sinv_ct = np.linalg.solve(fit.S_hat, ct_hat)
 
-    sd = float(np.std(values, ddof=1))
+    sd = float(np.std(sample.values, ddof=1))
     ell_deriv = 1.06 * sd * n ** (-1.0 / (2 * p + 5))
-    rng = sample.support_range
-    if not np.isfinite(rng):
-        rng = float(values[-1] - values[0])
-    ell_deriv = max(ell, min(ell_deriv, rng / 2.0))
+    ell_deriv = max(ell, min(ell_deriv, sample.span / 2.0))
     pilot = fit_local(sample, x, ell_deriv, p + 2, kernel)
     return BiasConstants(
         Sinv_c=Sinv_c,
@@ -143,16 +123,13 @@ def mse_bandwidth(
     p: int,
     v: int,
     kernel: str = "triangular",
-    include_f2_term: bool = False,
 ) -> BandwidthSelection:
     """Pointwise MSE-optimal bandwidth.
 
     Cases: (a) closed form when v >= 1 and the first-order bias cannot
     vanish (boundary region at the pilot scale, or p - v odd); (b) closed
     form with the second-order bias when v >= 1, interior, p - v even;
-    (c)/(d) numerical empirical-MSE minimization for v = 0. The optional
-    ``include_f2_term`` adds the F^(p+1) F^(2) / f contribution to the
-    second-order bias constant using pilot estimates.
+    (c)/(d) numerical empirical-MSE minimization for v = 0.
     """
     if not 0 <= v <= p:
         raise ValueError("need 0 <= v <= p")
@@ -164,40 +141,19 @@ def mse_bandwidth(
     e[v] = 1.0
     B1 = factorial(v) * bc.F_p1 / factorial(p + 1) * float(e @ bc.Sinv_c)
     B2 = factorial(v) * bc.F_p2 / factorial(p + 2) * float(e @ bc.Sinv_ctilde)
-    if include_f2_term:
-        pilot = fit_local(sample, x, ell, p + 2, kernel)
-        f_hat_pilot = derivative_estimate(pilot, 1)
-        F2_hat = derivative_estimate(pilot, 2)
-        if f_hat_pilot > 0:
-            B2 += (
-                factorial(v)
-                * bc.F_p1
-                / factorial(p + 1)
-                * (F2_hat / f_hat_pilot)
-                * float(e @ bc.Sinv_ctilde)
-            )
 
     n = sample.n
     if v >= 1:
         V = variance_constant(sample, x, p, v, kernel, ell)
         if not region.is_interior or (p - v) % 2 == 1:
-            if abs(B1) < _ZERO_BIAS_TOL:
-                raise ZeroBias("first-order bias constant is numerically zero")
-            h = ((2 * v - 1) * V / (n * (2 * p + 2 - 2 * v) * B1**2)) ** (
-                1.0 / (2 * p + 1)
-            )
-            return BandwidthSelection(
-                h=h, v=v, p=p, case_tag="odd_or_boundary",
-                bias_estimate=B1, variance_constant=V,
-            )
-        if abs(B2) < _ZERO_BIAS_TOL:
-            raise ZeroBias("second-order bias constant is numerically zero")
-        h = ((2 * v - 1) * V / (n * (2 * p + 4 - 2 * v) * B2**2)) ** (
-            1.0 / (2 * p + 3)
-        )
+            B, order, tag = B1, 1, "odd_or_boundary"
+        else:
+            B, order, tag = B2, 2, "even_interior"
+        h = closed_form_h(V, B, n, p, v, order)
+        if not h > 0:
+            raise NonPositiveVariance(f"variance constant {V:.3e} gives bandwidth {h}")
         return BandwidthSelection(
-            h=h, v=v, p=p, case_tag="even_interior",
-            bias_estimate=B2, variance_constant=V,
+            h=h, v=v, p=p, case_tag=tag, bias_estimate=B, variance_constant=V,
         )
 
     # v = 0: empirical MSE with the quadratic-variance term restoring the
@@ -226,10 +182,7 @@ def mse_bandwidth(
         bias = h ** (p + 1) * B1 + h ** (p + 2) * B2
         return bias**2 + V1 * h / n + V2 / (n**2 * h)
 
-    rng = sample.support_range
-    if not np.isfinite(rng):
-        rng = float(sample.values[-1] - sample.values[0])
-    h = _golden_section(objective, rng / n, rng / 2.0)
+    h = _golden_section(objective, sample.span / n, sample.span / 2.0)
     return BandwidthSelection(
         h=h, v=0, p=p, case_tag=tag,
         bias_estimate=h ** (p + 1) * B1 + h ** (p + 2) * B2,
@@ -237,8 +190,13 @@ def mse_bandwidth(
     )
 
 
-def closed_form_h(V: float, B: float, n: int, p: int, v: int) -> float:
-    """Case-(a) closed form: stationary point of V/(n h^{2v-1}) + h^{2p+2-2v} B^2."""
+def closed_form_h(V: float, B: float, n: int, p: int, v: int, bias_order: int = 1) -> float:
+    """Stationary point of V/(n h^{2v-1}) + h^{2(p+k-v)} B^2, k = ``bias_order``.
+
+    k = 1 is case (a), the first-order bias; k = 2 is case (b), the
+    second-order bias of an interior fit with p - v even.
+    """
     if abs(B) < _ZERO_BIAS_TOL:
-        raise ZeroBias("bias constant is numerically zero")
-    return ((2 * v - 1) * V / (n * (2 * p + 2 - 2 * v) * B**2)) ** (1.0 / (2 * p + 1))
+        raise ZeroBias(f"order-{bias_order} bias constant is numerically zero")
+    k = bias_order
+    return ((2 * v - 1) * V / (n * (2 * (p + k - v)) * B**2)) ** (1.0 / (2 * p + 2 * k - 1))

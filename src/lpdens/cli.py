@@ -16,7 +16,7 @@ import sys
 from . import density as density_mod
 from . import simulation
 from .errors import LpDensError
-from .maniptest import rbc_test
+from .maniptest import MODELS, rbc_test
 from .sample import load_csv
 
 
@@ -124,14 +124,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="'auto' for pointwise MSE-optimal, or a fixed value (default: auto)")
     sp.add_argument("--alpha", type=float, default=0.05,
                     help="CI significance level (default: 0.05)")
-    sp.add_argument("--threads", type=int, default=_default_threads(),
-                    help="worker threads (default: LPDENS_THREADS or 1)")
     sp.set_defaults(func=cmd_density)
 
     sp = sub.add_parser("test", help="density-discontinuity test at a cutoff")
     common(sp)
     sp.add_argument("--cutoff", type=float, required=True, help="known cutoff location")
-    sp.add_argument("--model", choices=("unrestricted", "restricted", "separate"),
+    sp.add_argument("--model", choices=MODELS,
                     default="unrestricted", help="cutoff model (default: unrestricted)")
     sp.set_defaults(func=cmd_test)
 
@@ -142,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="output format (default: json)")
     sp.add_argument("--seed", type=int, default=None, help="override the design seed")
     sp.add_argument("--threads", type=int, default=_default_threads(),
-                    help="worker threads; output is thread-count invariant")
+                    help="worker threads (default: LPDENS_THREADS or 1); "
+                         "output is thread-count invariant")
     sp.set_defaults(func=cmd_simulate)
     return parser
 

@@ -1,8 +1,11 @@
 """Kernel families, polynomial bases, and the population moment matrices.
 
 The moment matrices (``S``, ``c``, ``c_tilde``, ``Gamma``, ``Tmat``) are the
-bias/variance constants of the local fit, computed by composite
-Gauss-Legendre quadrature over the (possibly truncated) kernel window.
+bias/variance constants of the local fit over the (possibly truncated)
+kernel window. Kernels and bases are piecewise polynomial with their only
+kinks at u = 0, so one 20-node Gauss-Legendre rule per segment split at 0
+computes them exactly: the integrands have degree <= 2p+6 and the rule is
+exact up to degree 39, i.e. for p <= 16.
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ from .errors import DegenerateRegion
 
 KERNEL_FAMILIES = ("triangular", "epanechnikov", "uniform")
 
-#: quadrature resolution: nodes per panel x panels per smooth segment
+#: Gauss-Legendre nodes per segment: exact up to degree 39, and the moment
+#: integrands have degree <= 2p+6 (Gamma's outer one), so exact for p <= 16.
 _GL_NODES = 20
-_GL_PANELS = 8
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_NODES)
 _REGION_TOL = 1e-12
 _DEGENERATE_TOL = 1e-8
 
@@ -140,14 +144,10 @@ class KernelMoments:
     d: int
 
 
-def _composite_gl(a: float, b: float, panels: int = _GL_PANELS):
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES)
-    edges = np.linspace(a, b, panels + 1)
-    half = np.diff(edges) / 2.0
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    xs = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    ws = (half[:, None] * weights[None, :]).ravel()
-    return xs, ws
+def _gauss_legendre(a: float, b):
+    """Gauss-Legendre nodes and weights on [a, b]; an array ``b`` adds a leading axis."""
+    half = (np.asarray(b) - a)[..., None] / 2.0
+    return a + half * (1.0 + _GL_X), half * _GL_W
 
 
 def _segments(a: float, b: float):
@@ -158,7 +158,7 @@ def _segments(a: float, b: float):
 
 
 @lru_cache(maxsize=512)
-def _moments_cached(family: str, a: float, b: float, p: int, basis: BasisKind, panels: int):
+def _moments_cached(family: str, a: float, b: float, p: int, basis: BasisKind):
     d = basis_dim(p, basis)
     S = np.zeros((d, d))
     c = np.zeros(d)
@@ -170,9 +170,9 @@ def _moments_cached(family: str, a: float, b: float, p: int, basis: BasisKind, p
     # per-segment 1-D moments; m0 = int r K, m1 = int u r K reused for Gamma
     seg_m0, seg_m1 = [], []
     for sa, sb in segs:
-        # GL nodes are interior to each panel, so the u=0 indicator and the
+        # GL nodes are interior to the segment, so the u=0 indicator and the
         # triangular-kernel kink are never sampled at the split point itself
-        xs, ws = _composite_gl(sa, sb, panels)
+        xs, ws = _gauss_legendre(sa, sb)
         R = basis_matrix(xs, p, basis)
         K = kernel_value(family, xs)
         wk = ws * K
@@ -183,20 +183,16 @@ def _moments_cached(family: str, a: float, b: float, p: int, basis: BasisKind, p
         seg_m0.append(R.T @ wk)
         seg_m1.append(R.T @ (wk * xs))
 
-    # Gamma: diagonal blocks via two triangles (min(u,v) kink on u=v),
-    # off-diagonal segment pairs are separable since min is then one-sided
-    for si, (sa, sb) in enumerate(segs):
-        xs, ws = _composite_gl(sa, sb, panels)
-        Ro = basis_matrix(xs, p, basis)
-        Ko = kernel_value(family, xs)
-        L = np.zeros((d, d))
-        for ui, wu, ro, ko in zip(xs, ws, Ro, Ko):
-            vi, wv = _composite_gl(sa, ui, panels)
-            Ri = basis_matrix(vi, p, basis)
-            Ki = kernel_value(family, vi)
-            inner = Ri.T @ (wv * vi * Ki)  # int_{sa}^{u} v r(v) K(v) dv
-            L += (wu * ko) * np.outer(ro, inner)
+        # Gamma diagonal block via two triangles (min(u,v) kink on u=v):
+        # inner[i] = int_{sa}^{xs[i]} v r(v) K(v) dv, one rule per outer node
+        vs, wv = _gauss_legendre(sa, xs)
+        Rv = basis_matrix(vs.ravel(), p, basis).reshape(vs.shape + (-1,))
+        inner = np.einsum("ik,ikj->ij", wv * vs * kernel_value(family, vs), Rv)
+        L = (R * wk[:, None]).T @ inner
         Gamma += L + L.T
+
+    # off-diagonal segment pairs are separable since min is then one-sided
+    for si in range(len(segs)):
         for sj in range(si + 1, len(segs)):
             cross = np.outer(seg_m1[si], seg_m0[sj])
             Gamma += cross + cross.T
@@ -209,7 +205,6 @@ def moments(
     region: EvalRegion,
     p: int,
     basis: BasisKind = BasisKind.STANDARD,
-    panels: int = _GL_PANELS,
 ) -> KernelMoments:
     """Moment matrices for a kernel family over ``region`` at order ``p``."""
     if p < 0:
@@ -218,7 +213,7 @@ def moments(
         raise ValueError(f"unknown kernel family {family!r}")
     if region.b - region.a < _DEGENERATE_TOL:
         raise DegenerateRegion(f"region [{region.a}, {region.b}] is degenerate")
-    return _moments_cached(family, region.a, region.b, p, basis, panels)
+    return _moments_cached(family, region.a, region.b, p, basis)
 
 
 def factorial(v: int) -> float:

@@ -20,7 +20,7 @@ from .bandwidth import (
     preliminary_bandwidth,
     variance_constant,
 )
-from .errors import LpDensError, ZeroBias
+from .errors import LpDensError, NonPositiveVariance, ZeroBias
 from .kernels import BasisKind, factorial
 from .lpfit import derivative_estimate, fit_local
 from .sample import Sample, split_at_cutoff
@@ -78,15 +78,11 @@ class ManipulationTestResult:
         }
 
 
+MODELS = ("unrestricted", "restricted", "separate")
+
+
 def _two_sided_p(T: float) -> float:
     return float(2.0 * norm.sf(abs(T)))
-
-
-def _side_range(side: Sample) -> float:
-    rng = side.support_range
-    if not np.isfinite(rng):
-        rng = float(side.values[-1] - side.values[0])
-    return rng
 
 
 def _clamp_h(h: float, cutoff: float, side: Sample) -> float:
@@ -117,7 +113,7 @@ def diff_mse_bandwidth(sample: Sample, cutoff: float, p: int, kernel: str = "tri
     for tag, side, n_side in (("minus", left, n_minus), ("plus", right, n_plus)):
         ell = preliminary_bandwidth(side)
         bc = estimate_bias_constants(side, cutoff, p, 1, kernel, ell)
-        pilot = fit_local(side, cutoff, _side_range(side), p + 2, kernel)
+        pilot = fit_local(side, cutoff, side.span, p + 2, kernel)
         e1 = np.zeros(p + 1)
         e1[1] = 1.0
         B = derivative_estimate(pilot, p + 1) / factorial(p + 1) * float(e1 @ bc.Sinv_c)
@@ -135,6 +131,10 @@ def diff_mse_bandwidth(sample: Sample, cutoff: float, p: int, kernel: str = "tri
     except ZeroBias:
         h_common = min(h_minus, h_plus)
     h_common = _clamp_h(_clamp_h(h_common, cutoff, left), cutoff, right)
+    if not h_common > 0:
+        raise NonPositiveVariance(
+            f"variance constant {V_diff:.3e} gives common bandwidth {h_common}"
+        )
     return DiffBandwidth(
         h_common=h_common,
         h_minus=h_minus,
@@ -257,6 +257,10 @@ def rbc_test(
     model: str = "unrestricted",
 ) -> ManipulationTestResult:
     """Robust bias-corrected test: bandwidth tuned for order p, statistic at p+1."""
+    if p < 1:
+        raise ValueError(f"p must be at least 1 for the density jump, got {p}")
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
     warnings = []
     try:
         h = diff_mse_bandwidth(sample, cutoff, p, kernel).h_common

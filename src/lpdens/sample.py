@@ -31,6 +31,12 @@ class Sample:
     def support_range(self) -> float:
         return self.support_upper - self.support_lower
 
+    @property
+    def span(self) -> float:
+        """Support range when finite, else the data range."""
+        rng = self.support_range
+        return rng if np.isfinite(rng) else float(self.values[-1] - self.values[0])
+
 
 def load_sample(raw, support=None) -> Sample:
     """Validate and sort raw observations into a :class:`Sample`.

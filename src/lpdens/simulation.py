@@ -17,7 +17,7 @@ import numpy as np
 from scipy.stats import norm
 
 from .bandwidth import closed_form_h, mse_bandwidth
-from .errors import LpDensError, ZeroBias
+from .errors import LpDensError
 from .kernels import classify_region, factorial, moments
 from .lpfit import derivative_estimate, fit_local
 from .sample import load_sample
@@ -174,11 +174,7 @@ def true_mse_bandwidth(dgp: DGP, x: float, n: int, p: int = 2, v: int = 1, kerne
                 dgp.cdf_deriv(x, p + 2) / factorial(p + 2)
                 + dgp.cdf_deriv(x, p + 1) / factorial(p + 1) * dgp.cdf_deriv(x, 2) / f
             ) * float(z @ mom.c_tilde)
-            if abs(B2) < 1e-12:
-                raise ZeroBias("population second-order bias vanishes")
-            h_new = ((2 * v - 1) * V / (n * (2 * p + 4 - 2 * v) * B2**2)) ** (
-                1.0 / (2 * p + 3)
-            )
+            h_new = closed_form_h(V, B2, n, p, v, bias_order=2)
         if abs(h_new - h) <= 1e-12 * h:
             return float(h_new)
         h = h_new

@@ -81,6 +81,12 @@ def test_test_restricted_dispatch(data_csv, capsys):
     assert res["model"] == "restricted"
 
 
+def test_test_order_zero_is_a_value_error(data_csv, capsys):
+    code = main(["test", "--input", data_csv, "--cutoff", "1.0", "--p", "0"])
+    assert code == 1
+    assert "error: value-error" in capsys.readouterr().err
+
+
 def test_test_empty_side(data_csv, capsys):
     code = main(["test", "--input", data_csv, "--cutoff", "-3.0"])
     err = capsys.readouterr().err
@@ -119,13 +125,17 @@ def test_help_lists_defaults(capsys):
     with pytest.raises(SystemExit):
         main(["density", "--help"])
     text = capsys.readouterr().out
-    for token in ("--p", "--kernel", "--bandwidth", "--alpha", "--threads",
+    for token in ("--p", "--kernel", "--bandwidth", "--alpha",
                   "default: json", "triangular"):
         assert token in text
+    assert "--threads" not in text
+    with pytest.raises(SystemExit):
+        main(["simulate", "--help"])
+    assert "--threads" in capsys.readouterr().out
 
 
-def test_threads_env_fallback(data_csv, monkeypatch, capsys):
+def test_threads_env_fallback(design_json, monkeypatch, capsys):
     monkeypatch.setenv("LPDENS_THREADS", "2")
     from lpdens.cli import build_parser
-    args = build_parser().parse_args(["density", "--input", data_csv])
+    args = build_parser().parse_args(["simulate", "--design", design_json])
     assert args.threads == 2

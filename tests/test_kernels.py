@@ -123,20 +123,18 @@ def test_moments_S_odd_entries_vanish_interior(fam):
     assert mom.S[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("fam", ["triangular", "epanechnikov", "uniform"])
-def test_moments_panel_doubling_converged(fam):
-    reg = EvalRegion(a=-0.3, b=1.0, kind="lower_boundary", c=0.3)
-    m8 = moments(fam, reg, 2, panels=8)
-    m16 = moments(fam, reg, 2, panels=16)
-    for name in ("S", "c", "c_tilde", "Gamma", "Tmat"):
-        assert np.max(np.abs(getattr(m8, name) - getattr(m16, name))) < 1e-10
-
-
-@pytest.mark.parametrize("fam", ["triangular", "epanechnikov", "uniform"])
-def test_gamma_against_dense_triangle_bruteforce(fam):
+@pytest.mark.parametrize("fam,region", [
+    pytest.param(fam, region, id=fam + suffix)
+    for region, suffix in (
+        (INTERIOR, ""),
+        (EvalRegion(a=-0.3, b=1.0, kind="lower_boundary", c=0.3), "-lower_boundary"),
+    )
+    for fam in ("triangular", "epanechnikov", "uniform")
+])
+def test_gamma_against_dense_triangle_bruteforce(fam, region):
     # high-resolution grid so the oracle error is negligible
-    mom = moments(fam, INTERIOR, 2)
-    brute = gamma_bruteforce_triangles(fam, 2, n_grid=2000)
+    mom = moments(fam, region, 2)
+    brute = gamma_bruteforce_triangles(fam, 2, n_grid=2000, a=region.a, b=region.b)
     # oracle discretization error is O(n_grid^-2) ~ 1e-7 at this resolution
     assert np.max(np.abs(mom.Gamma - brute)) < 2e-7
     assert np.allclose(mom.Gamma, mom.Gamma.T, atol=1e-14)

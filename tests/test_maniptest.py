@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lpdens.errors import EmptySide
+from lpdens.errors import EmptySide, LpDensError
 from lpdens.kernels import BasisKind
 from lpdens.lpfit import derivative_estimate, fit_local
 from lpdens.maniptest import diff_mse_bandwidth, rbc_test
@@ -111,6 +111,25 @@ def test_diff_bandwidth_clamped_inside_support():
     assert bw.h_common <= 0.95 + 1e-12
     assert bw.h_minus <= 0.95 + 1e-12
     assert bw.h_plus <= 0.95 + 1e-12
+
+
+@pytest.mark.parametrize("model", ["unrestricted", "restricted", "separate"])
+def test_zero_variance_constant_is_typed(model):
+    # heaped N(0,1): at this cutoff the estimated variance constant is 0, so
+    # the closed-form common bandwidth is 0 and must not reach the fit
+    x = np.round(np.random.default_rng(3).normal(size=10_000) / 0.05) * 0.05
+    try:
+        res = rbc_test(load_sample(x), -0.125, model=model)
+    except LpDensError:
+        return
+    assert res.h_minus > 0 and np.isfinite(res.T)
+
+
+def test_rbc_rejects_bad_order_and_model(normal_sample):
+    with pytest.raises(ValueError):
+        rbc_test(normal_sample, 0.0, p=0)
+    with pytest.raises(ValueError):
+        rbc_test(normal_sample, 0.0, model="two-sided")
 
 
 def test_cutoff_outside_data(normal_sample):
