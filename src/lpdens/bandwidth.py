@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientData, NonPositiveVariance, ZeroBias, ZeroVariance
-from .kernels import classify_region, factorial, moments
-from .lpfit import fit_local, derivative_estimate
+from .kernels import factorial, moments
+from .lpfit import LocalFit, derivative_estimate, fit_local
 from .sample import Sample, edf
 from .variance import gamma_hat
 
@@ -27,7 +27,6 @@ class BiasConstants:
     Sinv_ctilde: np.ndarray
     F_p1: float  # pilot estimate of F^(p+1)(x)
     F_p2: float  # pilot estimate of F^(p+2)(x)
-    ell: float
 
 
 @dataclass(frozen=True)
@@ -49,18 +48,16 @@ def preliminary_bandwidth(sample: Sample) -> float:
     return min(ell, sample.span / 2.0)
 
 
-def estimate_bias_constants(
-    sample: Sample, x: float, p: int, v: int, kernel: str, ell: float
-) -> BiasConstants:
+def estimate_bias_constants(sample: Sample, fit: LocalFit) -> BiasConstants:
     """Sample-moment estimates of S^-1 c and S^-1 c~ plus derivative pilots.
 
-    The matrix ratios come from kernel-weighted sample moments at the
-    preliminary bandwidth; the derivative pilots F^(p+1), F^(p+2) come from
-    a local fit of order p+2 at a coarser bandwidth matched to that order
-    (rate n^{-1/(2p+5)}), since high derivatives at the density-pilot scale
-    are far too noisy.
+    The matrix ratios come from kernel-weighted sample moments of ``fit``,
+    the order-p fit at the preliminary bandwidth ell = ``fit.h``; the
+    derivative pilots F^(p+1), F^(p+2) come from a local fit of order p+2
+    at a coarser bandwidth matched to that order (rate n^{-1/(2p+5)}),
+    since high derivatives at the density-pilot scale are far too noisy.
     """
-    fit = fit_local(sample, x, ell, p, kernel)
+    p, ell = fit.p, fit.h
     if fit.m_eff < p + 3:
         raise InsufficientData(
             f"pilot window holds {fit.m_eff} points, need {p + 3}"
@@ -75,13 +72,12 @@ def estimate_bias_constants(
     sd = float(np.std(sample.values, ddof=1))
     ell_deriv = 1.06 * sd * n ** (-1.0 / (2 * p + 5))
     ell_deriv = max(ell, min(ell_deriv, sample.span / 2.0))
-    pilot = fit_local(sample, x, ell_deriv, p + 2, kernel)
+    pilot = fit_local(sample, fit.x, ell_deriv, p + 2, fit.kernel)
     return BiasConstants(
         Sinv_c=Sinv_c,
         Sinv_ctilde=Sinv_ct,
         F_p1=derivative_estimate(pilot, p + 1),
         F_p2=derivative_estimate(pilot, p + 2),
-        ell=ell,
     )
 
 
@@ -106,15 +102,14 @@ def _golden_section(objective, lo: float, hi: float, max_iter: int = 200, rtol: 
     return float(np.exp((a + b) / 2.0))
 
 
-def variance_constant(sample: Sample, x: float, p: int, v: int, kernel: str, ell: float) -> float:
-    """V-hat such that variance(h) ~= V-hat / (n h^{2v-1}), from Gamma-hat at ell."""
-    fit = fit_local(sample, x, ell, p, kernel)
+def variance_constant(sample: Sample, fit: LocalFit, v: int) -> float:
+    """V-hat such that variance(h) ~= V-hat / (n h^{2v-1}), from Gamma-hat at ell = ``fit.h``."""
     G = gamma_hat(sample, fit)
-    e = np.zeros(p + 1)
+    e = np.zeros(fit.d)
     e[v] = 1.0
     z = fit.solve_S(e)
     q = float(z @ G @ z)
-    return factorial(v) ** 2 * max(q, 0.0) / ell
+    return factorial(v) ** 2 * max(q, 0.0) / fit.h
 
 
 def mse_bandwidth(
@@ -133,9 +128,8 @@ def mse_bandwidth(
     """
     if not 0 <= v <= p:
         raise ValueError("need 0 <= v <= p")
-    ell = preliminary_bandwidth(sample)
-    region = classify_region(x, ell, sample.support_lower, sample.support_upper)
-    bc = estimate_bias_constants(sample, x, p, v, kernel, ell)
+    fit = fit_local(sample, x, preliminary_bandwidth(sample), p, kernel)
+    bc = estimate_bias_constants(sample, fit)
 
     e = np.zeros(p + 1)
     e[v] = 1.0
@@ -144,8 +138,8 @@ def mse_bandwidth(
 
     n = sample.n
     if v >= 1:
-        V = variance_constant(sample, x, p, v, kernel, ell)
-        if not region.is_interior or (p - v) % 2 == 1:
+        V = variance_constant(sample, fit, v)
+        if not fit.region.is_interior or (p - v) % 2 == 1:
             B, order, tag = B1, 1, "odd_or_boundary"
         else:
             B, order, tag = B2, 2, "even_interior"
@@ -158,24 +152,19 @@ def mse_bandwidth(
 
     # v = 0: empirical MSE with the quadratic-variance term restoring the
     # trade-off; minimized numerically on log h
-    fit0 = fit_local(sample, x, ell, p, kernel)
-    f_hat = derivative_estimate(fit0, 1) if p >= 1 else max(edf(sample, x), 1e-3)
+    f_hat = derivative_estimate(fit, 1) if p >= 1 else max(edf(sample, x), 1e-3)
     f_hat = max(f_hat, 1e-12)
     Ftil = edf(sample, x)
-    mom = moments(kernel, fit0.region, p)
-    e0 = np.zeros(p + 1)
-    e0[0] = 1.0
-    z = np.linalg.solve(mom.S, e0)
+    mom = moments(kernel, fit.region, p)
+    z = np.linalg.solve(mom.S, e)
     V2 = 2.0 * f_hat * Ftil * (1.0 - Ftil) * float(z @ mom.Tmat @ z)
-    if region.is_interior:
+    if fit.region.is_interior:
         V1 = f_hat * float(z @ mom.Gamma @ z)
         tag = "cdf_interior"
     else:
         # boundary: no well-defined asymptotic optimum; use the
         # ell-dependent empirical variance (documented as such)
-        G = gamma_hat(sample, fit0)
-        z_hat = fit0.solve_S(e0)
-        V1 = max(float(z_hat @ G @ z_hat), 0.0) / ell
+        V1 = variance_constant(sample, fit, 0)
         tag = "cdf_boundary_empirical"
 
     def objective(h):

@@ -12,6 +12,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import replace
 
 from . import density as density_mod
 from . import simulation
@@ -88,7 +89,7 @@ def cmd_simulate(args) -> int:
     try:
         design = simulation.load_design(args.design)
         if args.seed is not None:
-            design = simulation.SimDesign(**{**design.__dict__, "seed": args.seed})
+            design = replace(design, seed=args.seed)
         rows = simulation.run_design(design, threads=args.threads)
     except (OSError, ValueError, KeyError, LpDensError, json.JSONDecodeError) as exc:
         return _fail(exc)

@@ -13,11 +13,10 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .errors import EmptyGrid, InvalidAlpha, LpDensError
 from .bandwidth import mse_bandwidth
-from .kernels import classify_region
 from .lpfit import derivative_estimate, fit_local
 from .sample import Sample
 from .variance import standard_error
@@ -76,7 +75,6 @@ def _estimate_point(sample, x, p, v, kernel, alpha, bw_policy, fixed_h):
     else:
         h = mse_bandwidth(sample, x, p, v, kernel).h
 
-    region = classify_region(x, h, sample.support_lower, sample.support_upper)
     fit_point = fit_local(sample, x, h, p, kernel)
     f_hat = derivative_estimate(fit_point, v)
 
@@ -84,7 +82,7 @@ def _estimate_point(sample, x, p, v, kernel, alpha, bw_policy, fixed_h):
     fit_ci = fit_local(sample, x, h, p + 1, kernel)
     f_ci = derivative_estimate(fit_ci, v)
     se = standard_error(sample, fit_ci, v).se
-    z = norm.ppf(1.0 - alpha / 2.0)
+    z = ndtri(1.0 - alpha / 2.0)
     return DensityEstimate(
         x=x,
         v=v,
@@ -96,7 +94,7 @@ def _estimate_point(sample, x, p, v, kernel, alpha, bw_policy, fixed_h):
         ci_low=f_ci - z * se,
         ci_high=f_ci + z * se,
         m_eff=fit_point.m_eff,
-        region=region.kind,
+        region=fit_point.region.kind,
     )
 
 

@@ -55,6 +55,8 @@ def basis_dim(p: int, basis: BasisKind) -> int:
         return p + 1
     if basis is BasisKind.UNRESTRICTED:
         return 2 * p + 2
+    if p < 1:
+        raise ValueError(f"restricted basis needs p >= 1, got {p}")
     return p + 2
 
 

@@ -9,10 +9,10 @@ above the bandwidth target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .bandwidth import (
     closed_form_h,
@@ -58,31 +58,14 @@ class ManipulationTestResult:
     warnings: tuple = field(default_factory=tuple)
 
     def record(self) -> dict:
-        return {
-            "cutoff": self.cutoff,
-            "model": self.model,
-            "p_point": self.p_point,
-            "p_infer": self.p_infer,
-            "h_minus": self.h_minus,
-            "h_plus": self.h_plus,
-            "n_minus": self.n_minus,
-            "n_plus": self.n_plus,
-            "m_eff_minus": self.m_eff_minus,
-            "m_eff_plus": self.m_eff_plus,
-            "f_minus": self.f_minus,
-            "f_plus": self.f_plus,
-            "se_diff": self.se_diff,
-            "T": self.T,
-            "p_value": self.p_value,
-            "warnings": list(self.warnings),
-        }
+        return {**asdict(self), "warnings": list(self.warnings)}
 
 
 MODELS = ("unrestricted", "restricted", "separate")
 
 
 def _two_sided_p(T: float) -> float:
-    return float(2.0 * norm.sf(abs(T)))
+    return float(2.0 * ndtr(-abs(T)))
 
 
 def _clamp_h(h: float, cutoff: float, side: Sample) -> float:
@@ -95,33 +78,36 @@ def _clamp_h(h: float, cutoff: float, side: Sample) -> float:
     return float(min(h, 0.95 * max(limits)))
 
 
+def _side_constants(side: Sample, cutoff: float, p: int, kernel: str) -> tuple[float, float]:
+    """Bias and variance constants (B, V) of one side's boundary fit for f(c)."""
+    fit = fit_local(side, cutoff, preliminary_bandwidth(side), p, kernel)
+    # only Sinv_c is used here: the F^(p+1) pilot comes from the whole-side
+    # fit below, yet estimate_bias_constants still fits its own order-(p+2)
+    # pilot, whose typed failures (e.g. SingularDesign on heaped data) send
+    # rbc_test to its preliminary-bandwidth fallback
+    bc = estimate_bias_constants(side, fit)
+    pilot = fit_local(side, cutoff, side.span, p + 2, kernel)
+    B = derivative_estimate(pilot, p + 1) / factorial(p + 1) * float(bc.Sinv_c[1])
+    return B, variance_constant(side, fit, 1)
+
+
 def diff_mse_bandwidth(sample: Sample, cutoff: float, p: int, kernel: str = "triangular") -> DiffBandwidth:
     """Bandwidths MSE-optimal for the jump estimator f(c+) - f(c-).
 
     Bias constants subtract across sides (with sample-share weights),
     variance constants add; both sides are boundary fits at the cutoff so
     the first-order bias never vanishes and the closed form applies.
-    The F^(p+1) pilot comes from a wide (half-range) side fit: boundary
-    fits of order p+2 at the density pilot scale are too noisy to use.
+    The F^(p+1) pilot comes from an order-(p+2) fit over the whole side
+    (bandwidth ``side.span``): boundary fits of order p+2 at the density
+    pilot scale are too noisy to use.
     When the difference bias cancels numerically the common bandwidth
     falls back to the smaller per-side bandwidth. Per-side bandwidths
     from per-side MSE are always reported.
     """
     left, right, n_minus, n_plus = split_at_cutoff(sample, cutoff)
     n = sample.n
-    sides = {}
-    for tag, side, n_side in (("minus", left, n_minus), ("plus", right, n_plus)):
-        ell = preliminary_bandwidth(side)
-        bc = estimate_bias_constants(side, cutoff, p, 1, kernel, ell)
-        pilot = fit_local(side, cutoff, side.span, p + 2, kernel)
-        e1 = np.zeros(p + 1)
-        e1[1] = 1.0
-        B = derivative_estimate(pilot, p + 1) / factorial(p + 1) * float(e1 @ bc.Sinv_c)
-        V = variance_constant(side, cutoff, p, 1, kernel, ell)
-        sides[tag] = (B, V, n_side)
-
-    B_m, V_m, _ = sides["minus"]
-    B_p, V_p, _ = sides["plus"]
+    B_m, V_m = _side_constants(left, cutoff, p, kernel)
+    B_p, V_p = _side_constants(right, cutoff, p, kernel)
     B_diff = (n_plus / n) * B_p - (n_minus / n) * B_m
     V_diff = (n_plus / n) * V_p + (n_minus / n) * V_m
     h_minus = _clamp_h(closed_form_h(V_m, B_m, n_minus, p, 1), cutoff, left)
@@ -144,8 +130,8 @@ def diff_mse_bandwidth(sample: Sample, cutoff: float, p: int, kernel: str = "tri
     )
 
 
-def _joint_test(sample, cutoff, p, kernel, h, basis, model, warnings=()):
-    split_at_cutoff(sample, cutoff)  # enforce the per-side minimum early
+def _joint_test(sample, cutoff, p, kernel, h, basis, warnings=()):
+    _, _, n_minus, n_plus = split_at_cutoff(sample, cutoff)
     fit = fit_local(sample, cutoff, h, p, kernel, basis)
     f_minus = derivative_estimate(fit, 1, "left")
     f_plus = derivative_estimate(fit, 1, "right")
@@ -153,13 +139,13 @@ def _joint_test(sample, cutoff, p, kernel, h, basis, model, warnings=()):
     T = (f_plus - f_minus) / se if se > 0 else 0.0
     return ManipulationTestResult(
         cutoff=cutoff,
-        model=model,
+        model=basis.value,
         p_point=p,
         p_infer=p,
         h_minus=h,
         h_plus=h,
-        n_minus=int(np.searchsorted(sample.values, cutoff, side="left")),
-        n_plus=sample.n - int(np.searchsorted(sample.values, cutoff, side="left")),
+        n_minus=n_minus,
+        n_plus=n_plus,
         m_eff_minus=fit.m_eff_minus,
         m_eff_plus=fit.m_eff_plus,
         f_minus=f_minus,
@@ -178,7 +164,6 @@ def test_unrestricted(
     kernel: str = "triangular",
     h_minus: float | None = None,
     h_plus: float | None = None,
-    warnings=(),
 ) -> ManipulationTestResult:
     """Unrestricted-model test of density continuity at the cutoff.
 
@@ -194,11 +179,8 @@ def test_unrestricted(
         h_minus = h_minus if h_minus is not None else bw.h_common
         h_plus = h_plus if h_plus is not None else bw.h_common
     if h_minus == h_plus:
-        return _joint_test(
-            sample, cutoff, p, kernel, h_minus, BasisKind.UNRESTRICTED,
-            "unrestricted", warnings,
-        )
-    return _separate_test(sample, cutoff, p, kernel, h_minus, h_plus, warnings)
+        return _joint_test(sample, cutoff, p, kernel, h_minus, BasisKind.UNRESTRICTED)
+    return _separate_test(sample, cutoff, p, kernel, h_minus, h_plus)
 
 
 def _separate_test(sample, cutoff, p, kernel, h_minus, h_plus, warnings=()):
@@ -239,14 +221,11 @@ def test_restricted(
     p: int = 2,
     kernel: str = "triangular",
     h: float | None = None,
-    warnings=(),
 ) -> ManipulationTestResult:
     """Restricted-model test: only the density may jump at the cutoff."""
     if h is None:
         h = diff_mse_bandwidth(sample, cutoff, p, kernel).h_common
-    return _joint_test(
-        sample, cutoff, p, kernel, h, BasisKind.RESTRICTED, "restricted", warnings,
-    )
+    return _joint_test(sample, cutoff, p, kernel, h, BasisKind.RESTRICTED)
 
 
 def rbc_test(
@@ -264,15 +243,11 @@ def rbc_test(
     warnings = []
     try:
         h = diff_mse_bandwidth(sample, cutoff, p, kernel).h_common
-    except (ZeroBias, LpDensError) as exc:
+    except LpDensError as exc:
         h = preliminary_bandwidth(sample)
         warnings.append(f"bandwidth-fallback-preliminary:{type(exc).__name__}")
-    if model == "restricted":
-        result = test_restricted(sample, cutoff, p + 1, kernel, h, warnings)
-    elif model == "separate":
+    if model == "separate":
         result = _separate_test(sample, cutoff, p + 1, kernel, h, h, warnings)
     else:
-        result = test_unrestricted(sample, cutoff, p + 1, kernel, h, h, warnings)
-    return ManipulationTestResult(
-        **{**result.__dict__, "p_point": p, "p_infer": p + 1}
-    )
+        result = _joint_test(sample, cutoff, p + 1, kernel, h, BasisKind(model), warnings)
+    return replace(result, p_point=p)

@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .bandwidth import closed_form_h, mse_bandwidth
 from .errors import LpDensError
@@ -52,20 +52,24 @@ def _hermite_prob(x: float, m: int) -> float:
     return b
 
 
+def _std_normal_pdf(x):
+    return np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi)
+
+
 def _truncated_normal(lower: float = -0.8) -> DGP:
-    z = 1.0 - norm.cdf(lower)
-    phi_lo = norm.cdf(lower)
+    z = 1.0 - ndtr(lower)
+    phi_lo = ndtr(lower)
 
     def icdf(u):
-        return norm.ppf(phi_lo + u * z)
+        return ndtri(phi_lo + u * z)
 
     def cdf(x):
-        return np.clip((norm.cdf(x) - phi_lo) / z, 0.0, 1.0)
+        return np.clip((ndtr(x) - phi_lo) / z, 0.0, 1.0)
 
     def cdf_deriv(x, k):
         # F^(k) = phi^(k-1)/z, phi^(m)(x) = (-1)^m He_m(x) phi(x)
         m = k - 1
-        return (-1.0) ** m * _hermite_prob(x, m) * norm.pdf(x) / z
+        return (-1.0) ** m * _hermite_prob(x, m) * _std_normal_pdf(x) / z
 
     return DGP("truncated_normal", (lower, np.inf), icdf, cdf, cdf_deriv)
 
@@ -206,7 +210,8 @@ def run_design(design: SimDesign, threads: int = 1) -> list[dict]:
 
     Returns one row per evaluation point with columns
     (x, n, p, kernel, bw_rule, bias, sd, rmse, se_mean, size); a row with
-    more than 1% failed replications is flagged invalid.
+    more than 1% failed replications is flagged invalid. The thread pool
+    raises ``ValueError`` when ``threads`` is below 1.
     """
     h_fixed = {}
     if design.bandwidth_rule != "mse_estimated":
@@ -216,12 +221,8 @@ def run_design(design: SimDesign, threads: int = 1) -> list[dict]:
                 design.dgp, x, design.n, design.p, design.v, design.kernel
             )
 
-    reps = range(design.reps)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda r: _run_one_rep(design, r, h_fixed), reps))
-    else:
-        results = [_run_one_rep(design, r, h_fixed) for r in reps]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(lambda r: _run_one_rep(design, r, h_fixed), range(design.reps)))
 
     rows = []
     for x in design.eval_points:
@@ -230,9 +231,7 @@ def run_design(design: SimDesign, threads: int = 1) -> list[dict]:
         ok = np.isfinite(f_hat) & np.isfinite(se)
         fail_rate = float(1.0 - ok.mean())
         f_ok, se_ok = f_hat[ok], se[ok]
-        f_true = design.dgp.pdf(x) if design.v == 1 else design.dgp.cdf_deriv(x, design.v)
-        if design.v == 0:
-            f_true = design.dgp.cdf(x)
+        f_true = design.dgp.cdf(x) if design.v == 0 else design.dgp.cdf_deriv(x, design.v)
         mean_f = float(np.mean(f_ok))
         bias = mean_f - float(f_true)
         sd = float(np.std(f_ok))  # ddof=0 so rmse^2 == bias^2 + sd^2 exactly

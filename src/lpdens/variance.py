@@ -48,33 +48,36 @@ def gamma_hat(sample: Sample, fit: LocalFit) -> np.ndarray:
     return (A.T @ M @ A) / fit.n**2
 
 
-def _quadratic_form(fit: LocalFit, Gamma: np.ndarray, vec: np.ndarray) -> float:
-    z = fit.solve_S(vec)
-    return float(z @ Gamma @ z)
-
-
 def _se_from_form(q: float, n: int, h: float, v: int) -> float:
     if q < -_NEG_TOL:
         raise NonPositiveVariance(f"variance quadratic form is negative ({q:.3e})")
     return factorial(v) * np.sqrt(max(q, 0.0) / (n * h ** (2 * v)))
 
 
+def _estimate(
+    method: str, fit: LocalFit, G: np.ndarray, v: int, side: str | None, note: str
+) -> VarianceEstimate:
+    e = np.zeros(fit.d)
+    e[selector_index(fit.p, fit.basis, v, side)] = 1.0
+    z = fit.solve_S(e)
+    q = float(z @ G @ z)
+    return VarianceEstimate(
+        method=method,
+        Gamma_hat=G,
+        V_hat=q,
+        se=_se_from_form(q, fit.n, fit.h, v),
+        v=v,
+        scaling_note=note,
+    )
+
+
 def standard_error(
     sample: Sample, fit: LocalFit, v: int, side: str | None = None
 ) -> VarianceEstimate:
     """Gamma-hat standard error for the order-v derivative estimate."""
-    G = gamma_hat(sample, fit)
-    e = np.zeros(fit.d)
-    e[selector_index(fit.p, fit.basis, v, side)] = 1.0
-    q = _quadratic_form(fit, G, e)
-    se = _se_from_form(q, fit.n, fit.h, v)
-    return VarianceEstimate(
-        method="gamma_hat",
-        Gamma_hat=G,
-        V_hat=q,
-        se=se,
-        v=v,
-        scaling_note="se = v! sqrt(q / (n h^{2v})); no interior/boundary branch",
+    return _estimate(
+        "gamma_hat", fit, gamma_hat(sample, fit), v, side,
+        "se = v! sqrt(q / (n h^{2v})); no interior/boundary branch",
     )
 
 
@@ -90,8 +93,8 @@ def difference_se(sample: Sample, fit: LocalFit) -> tuple[float, np.ndarray]:
     e = np.zeros(fit.d)
     e[selector_index(fit.p, fit.basis, 1, "right")] = 1.0
     e[selector_index(fit.p, fit.basis, 1, "left")] = -1.0
-    q = _quadratic_form(fit, G, e)
-    return _se_from_form(q, fit.n, fit.h, v=1), G
+    z = fit.solve_S(e)
+    return _se_from_form(float(z @ G @ z), fit.n, fit.h, v=1), G
 
 
 def jackknife_gamma(sample: Sample, fit: LocalFit) -> np.ndarray:
@@ -128,18 +131,9 @@ def jackknife_se(
     sample: Sample, fit: LocalFit, v: int, side: str | None = None
 ) -> VarianceEstimate:
     """Jackknife-based standard error; same assembly as the Gamma-hat route."""
-    G = jackknife_gamma(sample, fit)
-    e = np.zeros(fit.d)
-    e[selector_index(fit.p, fit.basis, v, side)] = 1.0
-    q = _quadratic_form(fit, G, e)
-    se = _se_from_form(q, fit.n, fit.h, v)
-    return VarianceEstimate(
-        method="jackknife",
-        Gamma_hat=G,
-        V_hat=q,
-        se=se,
-        v=v,
-        scaling_note="se = v! sqrt(q / (n h^{2v})) with Gamma-hat^JK",
+    return _estimate(
+        "jackknife", fit, jackknife_gamma(sample, fit), v, side,
+        "se = v! sqrt(q / (n h^{2v})) with Gamma-hat^JK",
     )
 
 

@@ -9,7 +9,9 @@ from lpdens.bandwidth import (
     mse_bandwidth,
     preliminary_bandwidth,
 )
+from lpdens import bandwidth, maniptest
 from lpdens.errors import ZeroBias, ZeroVariance
+from lpdens.lpfit import fit_local
 from lpdens.sample import load_sample
 
 
@@ -57,11 +59,32 @@ def test_preliminary_bandwidth_zero_variance():
 def test_bias_constants_shape_and_pilot():
     rng = np.random.default_rng(8)
     s = load_sample(rng.exponential(size=3000), support=(0.0, np.inf))
-    bc = estimate_bias_constants(s, 1.0, 2, 1, "triangular", 0.5)
+    bc = estimate_bias_constants(s, fit_local(s, 1.0, 0.5, 2))
     assert bc.Sinv_c.shape == (3,)
     assert np.isfinite(bc.F_p1) and np.isfinite(bc.F_p2)
     # exponential: F'''(1) = e^{-1}; pilot is rough, just sign and scale
     assert abs(bc.F_p1) < 5.0
+
+
+def test_pilot_fit_runs_once(monkeypatch):
+    """The order-p pilot fit at ell feeds both the bias and variance constants."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return fit_local(*args, **kwargs)
+
+    monkeypatch.setattr(bandwidth, "fit_local", counting)
+    monkeypatch.setattr(maniptest, "fit_local", counting)
+    rng = np.random.default_rng(9)
+    s = load_sample(rng.exponential(size=3000), support=(0.0, np.inf))
+    for v in (0, 1, 2):
+        calls.clear()
+        mse_bandwidth(s, 1.0, 2, v)
+        assert sorted(calls) == [2, 4]  # order-p pilot, order-(p+2) pilot
+    calls.clear()
+    maniptest.diff_mse_bandwidth(s, 1.0, 2)
+    assert sorted(calls) == [2, 2, 4, 4, 4, 4]  # per side: p, p+2, whole-side p+2
 
 
 def test_mse_bandwidth_case_dispatch():

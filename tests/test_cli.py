@@ -1,10 +1,15 @@
 """CLI surface: subcommands, exit codes, machine-parsable failure reasons."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lpdens
 from lpdens.cli import main
 
 
@@ -104,6 +109,12 @@ def test_simulate_runs_and_is_deterministic(design_json, capsys):
     assert out1 == out2
 
 
+def test_simulate_zero_threads_is_a_value_error(design_json, capsys):
+    code = main(["simulate", "--design", design_json, "--threads", "0"])
+    assert code == 1
+    assert "error: value-error" in capsys.readouterr().err
+
+
 def test_simulate_malformed_design(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dgp": "exponential"}))
@@ -119,6 +130,17 @@ def test_simulate_zero_reps(tmp_path, capsys):
     }))
     code = main(["simulate", "--design", str(bad)])
     assert code == 1
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of a cold start; the normal CDF and quantile
+    # come from scipy.special instead
+    src = str(Path(lpdens.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, lpdens; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "False"
 
 
 def test_help_lists_defaults(capsys):

@@ -17,6 +17,8 @@ from lpdens.kernels import (
     moments,
     selector_index,
 )
+from lpdens.lpfit import fit_local
+from lpdens.sample import load_sample
 
 INTERIOR = EvalRegion(a=-1.0, b=1.0, kind="interior", c=0.0)
 
@@ -47,6 +49,17 @@ def test_basis_dims_and_powers():
     assert np.array_equal(basis_powers(3, BasisKind.STANDARD), [0, 1, 2, 3])
     assert np.array_equal(basis_powers(1, BasisKind.UNRESTRICTED), [0, 1, 0, 1])
     assert np.array_equal(basis_powers(3, BasisKind.RESTRICTED), [0, 1, 1, 2, 3])
+
+
+def test_restricted_basis_needs_order_one():
+    # the restricted basis always carries u*1{u<0} and u*1{u>=0} columns
+    with pytest.raises(ValueError):
+        basis_dim(0, BasisKind.RESTRICTED)
+    s = load_sample(np.linspace(-1.0, 1.0, 200))
+    with pytest.raises(ValueError):
+        fit_local(s, 0.0, 0.5, 0, basis=BasisKind.RESTRICTED)
+    with pytest.raises(ValueError):
+        moments("triangular", INTERIOR, 0, BasisKind.RESTRICTED)
 
 
 def test_unrestricted_basis_ties_to_right():

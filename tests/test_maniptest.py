@@ -48,10 +48,11 @@ def test_unrestricted_joint_result_shape(normal_sample):
     assert res.se_diff > 0
     assert 0.0 <= res.p_value <= 1.0
     rec = res.record()
-    for key in ("cutoff", "model", "p_point", "p_infer", "h_minus", "h_plus",
-                "n_minus", "n_plus", "m_eff_minus", "m_eff_plus", "f_minus",
-                "f_plus", "se_diff", "T", "p_value", "warnings"):
-        assert key in rec
+    # key order is the `lpdens test` JSON layout
+    assert list(rec) == ["cutoff", "model", "p_point", "p_infer", "h_minus", "h_plus",
+                         "n_minus", "n_plus", "m_eff_minus", "m_eff_plus", "f_minus",
+                         "f_plus", "se_diff", "T", "p_value", "warnings"]
+    assert rec["warnings"] == []
 
 
 def test_unrestricted_distinct_bandwidths_use_separate(normal_sample):
