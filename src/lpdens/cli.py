@@ -8,6 +8,8 @@ mutates its input; outputs go to stdout or a fresh file.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import re
@@ -33,6 +35,21 @@ def _fail(exc: Exception) -> int:
     return 1
 
 
+def render(records, fields, fmt: str) -> str:
+    """Records as indented JSON, or as CSV with ``fields`` as the columns.
+
+    JSON takes any JSON value (``lpdens test`` emits one record). CSV writes
+    a header row, ``"\n"`` line endings, and None as an empty cell.
+    """
+    if fmt == "json":
+        return json.dumps(records, indent=2)
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(records)
+    return buf.getvalue()
+
+
 def _emit(text: str, output_path: str | None) -> None:
     if output_path is None:
         sys.stdout.write(text)
@@ -54,19 +71,14 @@ def cmd_density(args) -> int:
             grid = args.grid_points
         else:
             grid = density_mod.default_grid(sample, args.grid)
-        if args.bandwidth == "auto":
-            policy, fixed_h = "mse_pointwise", None
-        else:
-            policy, fixed_h = "fixed", float(args.bandwidth)
+        h = None if args.bandwidth == "auto" else float(args.bandwidth)
         estimates = density_mod.estimate_grid(
-            sample, grid, p=args.p, v=args.v, kernel=args.kernel,
-            bw_policy=policy, fixed_h=fixed_h, alpha=args.alpha,
+            sample, grid, p=args.p, v=args.v, kernel=args.kernel, h=h, alpha=args.alpha,
         )
-    except (LpDensError, OSError, ValueError) as exc:
+    except (LpDensError, OSError, ValueError, MemoryError) as exc:
         return _fail(exc)
 
-    text = (density_mod.to_csv if args.format == "csv" else density_mod.to_json)(estimates)
-    _emit(text, args.output)
+    _emit(render([e.record() for e in estimates], density_mod.FIELDS, args.format), args.output)
     failed = [e for e in estimates if e.error is not None]
     for e in failed:
         print(f"warning: x={e.x} {e.error}", file=sys.stderr)
@@ -77,9 +89,9 @@ def cmd_test(args) -> int:
     try:
         sample = load_csv(args.input)
         result = rbc_test(sample, args.cutoff, p=args.p, kernel=args.kernel, model=args.model)
-    except (LpDensError, OSError, ValueError) as exc:
+    except (LpDensError, OSError, ValueError, MemoryError) as exc:
         return _fail(exc)
-    _emit(json.dumps(result.record(), indent=2), args.output)
+    _emit(render(result.record(), None, "json"), args.output)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     return 0
@@ -91,10 +103,9 @@ def cmd_simulate(args) -> int:
         if args.seed is not None:
             design = replace(design, seed=args.seed)
         rows = simulation.run_design(design, threads=args.threads)
-    except (OSError, ValueError, KeyError, LpDensError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, LpDensError, MemoryError) as exc:
         return _fail(exc)
-    text = (simulation.summary_to_csv if args.format == "csv" else simulation.summary_to_json)(rows)
-    _emit(text, args.output)
+    _emit(render(rows, simulation.CSV_COLUMNS, args.format), args.output)
     return 0
 
 
@@ -105,17 +116,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp):
-        sp.add_argument("--input", required=True, help="single-column CSV of observations")
+    def output(sp, formats=True):
         sp.add_argument("--output", default=None, help="output file (default: stdout)")
-        sp.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="output format (default: json)")
+        if formats:
+            sp.add_argument("--format", choices=("json", "csv"), default="json",
+                            help="output format (default: json)")
+
+    def common(sp, formats):
+        sp.add_argument("--input", required=True, help="single-column CSV of observations")
+        output(sp, formats)
         sp.add_argument("--p", type=int, default=2, help="polynomial order (default: 2)")
         sp.add_argument("--kernel", choices=("triangular", "epanechnikov", "uniform"),
                         default="triangular", help="kernel family (default: triangular)")
 
     sp = sub.add_parser("density", help="estimate the density over a grid")
-    common(sp)
+    common(sp, formats=True)
     sp.add_argument("--v", type=int, default=1, help="derivative order (default: 1)")
     sp.add_argument("--grid", type=int, default=25,
                     help="number of quantile grid points (default: 25)")
@@ -128,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_density)
 
     sp = sub.add_parser("test", help="density-discontinuity test at a cutoff")
-    common(sp)
+    common(sp, formats=False)
     sp.add_argument("--cutoff", type=float, required=True, help="known cutoff location")
     sp.add_argument("--model", choices=MODELS,
                     default="unrestricted", help="cutoff model (default: unrestricted)")
@@ -136,9 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="run a Monte Carlo design file")
     sp.add_argument("--design", required=True, help="JSON design file")
-    sp.add_argument("--output", default=None, help="output file (default: stdout)")
-    sp.add_argument("--format", choices=("json", "csv"), default="json",
-                    help="output format (default: json)")
+    output(sp)
     sp.add_argument("--seed", type=int, default=None, help="override the design seed")
     sp.add_argument("--threads", type=int, default=_default_threads(),
                     help="worker threads (default: LPDENS_THREADS or 1); "

@@ -8,8 +8,6 @@ order-p fit's standard error is never used for the interval.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +19,7 @@ from .lpfit import derivative_estimate, fit_local
 from .sample import Sample
 from .variance import standard_error
 
-#: output schema shared by JSON and CSV emitters (order is contractual)
+#: keys of ``DensityEstimate.record``, also the CSV columns (order is contractual)
 FIELDS = ("x", "v", "h", "p", "f_hat", "se", "ci_low", "ci_high", "m_eff", "region", "error")
 
 
@@ -41,19 +39,10 @@ class DensityEstimate:
     error: str | None = None
 
     def record(self) -> dict:
-        return {
-            "x": self.x,
-            "v": self.v,
-            "h": self.h_used,
-            "p": self.p_point,
-            "f_hat": self.f_hat,
-            "se": self.se,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "m_eff": self.m_eff,
-            "region": self.region,
-            "error": self.error,
-        }
+        return dict(zip(FIELDS, (
+            self.x, self.v, self.h_used, self.p_point, self.f_hat, self.se,
+            self.ci_low, self.ci_high, self.m_eff, self.region, self.error,
+        )))
 
 
 def default_grid(sample: Sample, n_points: int) -> np.ndarray:
@@ -69,11 +58,8 @@ def default_grid(sample: Sample, n_points: int) -> np.ndarray:
     return sample.values[idx].astype(float)
 
 
-def _estimate_point(sample, x, p, v, kernel, alpha, bw_policy, fixed_h):
-    if bw_policy == "fixed":
-        h = float(fixed_h)
-    else:
-        h = mse_bandwidth(sample, x, p, v, kernel).h
+def _estimate_point(sample, x, p, v, kernel, alpha, h):
+    h = mse_bandwidth(sample, x, p, v, kernel).h if h is None else float(h)
 
     fit_point = fit_local(sample, x, h, p, kernel)
     f_hat = derivative_estimate(fit_point, v)
@@ -104,24 +90,23 @@ def estimate_grid(
     p: int = 2,
     v: int = 1,
     kernel: str = "triangular",
-    bw_policy: str = "mse_pointwise",
-    fixed_h: float | None = None,
+    h: float | None = None,
     alpha: float = 0.05,
 ) -> list[DensityEstimate]:
     """Estimate the order-v derivative over a grid of evaluation points.
 
-    Per-point failures are soft: a failing point is emitted with null
-    estimate fields and an error tag, without affecting other points.
+    ``h`` is a fixed bandwidth for every point; ``None`` selects the
+    pointwise MSE-optimal one. Per-point failures are soft: a failing point
+    is emitted with null estimate fields and an error tag, without
+    affecting other points.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise EmptyGrid("empty evaluation grid")
     if not 0.0 < alpha < 1.0:
         raise InvalidAlpha(f"alpha={alpha} not in (0, 1)")
-    if bw_policy not in ("mse_pointwise", "fixed"):
-        raise ValueError(f"unknown bandwidth policy {bw_policy!r}")
-    if bw_policy == "fixed" and (fixed_h is None or fixed_h <= 0):
-        raise ValueError("fixed bandwidth policy needs a positive h")
+    if h is not None and not (np.isfinite(h) and h > 0):
+        raise ValueError(f"fixed bandwidth must be finite and positive, got {h}")
 
     out = []
     for x in grid:
@@ -130,7 +115,7 @@ def estimate_grid(
             out.append(_failed_point(x, v, p, "outside-support"))
             continue
         try:
-            out.append(_estimate_point(sample, x, p, v, kernel, alpha, bw_policy, fixed_h))
+            out.append(_estimate_point(sample, x, p, v, kernel, alpha, h))
         except LpDensError as exc:
             out.append(_failed_point(x, v, p, type(exc).__name__))
     return out
@@ -142,19 +127,3 @@ def _failed_point(x, v, p, tag) -> DensityEstimate:
         f_hat=None, se=None, ci_low=None, ci_high=None,
         m_eff=None, region=None, error=tag,
     )
-
-
-def to_json(estimates: list[DensityEstimate]) -> str:
-    return json.dumps([e.record() for e in estimates], indent=2)
-
-
-def to_csv(estimates: list[DensityEstimate]) -> str:
-    import io
-
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=FIELDS, lineterminator="\n")
-    writer.writeheader()
-    for e in estimates:
-        rec = e.record()
-        writer.writerow({k: ("" if rec[k] is None else rec[k]) for k in FIELDS})
-    return buf.getvalue()

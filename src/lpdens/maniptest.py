@@ -130,24 +130,47 @@ def diff_mse_bandwidth(sample: Sample, cutoff: float, p: int, kernel: str = "tri
     )
 
 
-def _joint_test(sample, cutoff, p, kernel, h, basis, warnings=()):
-    _, _, n_minus, n_plus = split_at_cutoff(sample, cutoff)
-    fit = fit_local(sample, cutoff, h, p, kernel, basis)
-    f_minus = derivative_estimate(fit, 1, "left")
-    f_plus = derivative_estimate(fit, 1, "right")
-    se, _ = difference_se(sample, fit)
-    T = (f_plus - f_minus) / se if se > 0 else 0.0
+def _cutoff_test(sample, cutoff, p, kernel, model, h_minus, h_plus, warnings=()):
+    """Studentized density jump at the cutoff, at order p, in one cutoff model.
+
+    A common bandwidth in the unrestricted or restricted model fits the
+    pooled EDF in that model's split basis; f_minus/f_plus are the joint
+    one-sided density estimates. The separate model, and any pair of
+    distinct bandwidths, fits each side's own EDF; f_minus/f_plus are then
+    conditional density estimates entering T with weights n_minus/n and
+    n_plus/n.
+    """
+    left, right, n_minus, n_plus = split_at_cutoff(sample, cutoff)
+    if model == "separate" or h_minus != h_plus:
+        model, n = "separate", sample.n
+        fit_m = fit_local(left, cutoff, h_minus, p, kernel)
+        fit_p = fit_local(right, cutoff, h_plus, p, kernel)
+        f_minus = derivative_estimate(fit_m, 1)
+        f_plus = derivative_estimate(fit_p, 1)
+        se_m = standard_error(left, fit_m, 1).se
+        se_p = standard_error(right, fit_p, 1).se
+        jump = (n_plus / n) * f_plus - (n_minus / n) * f_minus
+        se = float(np.hypot((n_plus / n) * se_p, (n_minus / n) * se_m))
+        m_eff_minus, m_eff_plus = fit_m.m_eff, fit_p.m_eff
+    else:
+        fit = fit_local(sample, cutoff, h_minus, p, kernel, BasisKind(model))
+        f_minus = derivative_estimate(fit, 1, "left")
+        f_plus = derivative_estimate(fit, 1, "right")
+        jump = f_plus - f_minus
+        se, _ = difference_se(sample, fit)
+        m_eff_minus, m_eff_plus = fit.m_eff_minus, fit.m_eff_plus
+    T = jump / se if se > 0 else 0.0
     return ManipulationTestResult(
         cutoff=cutoff,
-        model=basis.value,
+        model=model,
         p_point=p,
         p_infer=p,
-        h_minus=h,
-        h_plus=h,
+        h_minus=h_minus,
+        h_plus=h_plus,
         n_minus=n_minus,
         n_plus=n_plus,
-        m_eff_minus=fit.m_eff_minus,
-        m_eff_plus=fit.m_eff_plus,
+        m_eff_minus=m_eff_minus,
+        m_eff_plus=m_eff_plus,
         f_minus=f_minus,
         f_plus=f_plus,
         se_diff=se,
@@ -167,52 +190,14 @@ def test_unrestricted(
 ) -> ManipulationTestResult:
     """Unrestricted-model test of density continuity at the cutoff.
 
-    With a common bandwidth the joint split-basis fit on the pooled EDF is
-    used; the reported f_minus/f_plus are the joint one-sided density
-    estimates and T is their studentized difference. Distinct bandwidths
-    route to the separate-sample formula, where f_minus/f_plus are
-    conditional (per-subsample) density estimates entering T with weights
-    n_minus/n and n_plus/n.
+    A missing bandwidth is the MSE-optimal common one. Distinct bandwidths
+    route to the separate-sample formula (see ``_cutoff_test``).
     """
     if h_minus is None or h_plus is None:
         bw = diff_mse_bandwidth(sample, cutoff, p, kernel)
         h_minus = h_minus if h_minus is not None else bw.h_common
         h_plus = h_plus if h_plus is not None else bw.h_common
-    if h_minus == h_plus:
-        return _joint_test(sample, cutoff, p, kernel, h_minus, BasisKind.UNRESTRICTED)
-    return _separate_test(sample, cutoff, p, kernel, h_minus, h_plus)
-
-
-def _separate_test(sample, cutoff, p, kernel, h_minus, h_plus, warnings=()):
-    left, right, n_minus, n_plus = split_at_cutoff(sample, cutoff)
-    n = sample.n
-    fit_m = fit_local(left, cutoff, h_minus, p, kernel)
-    fit_p = fit_local(right, cutoff, h_plus, p, kernel)
-    f_m = derivative_estimate(fit_m, 1)
-    f_p = derivative_estimate(fit_p, 1)
-    se_m = standard_error(left, fit_m, 1).se
-    se_p = standard_error(right, fit_p, 1).se
-    num = (n_plus / n) * f_p - (n_minus / n) * f_m
-    se = float(np.hypot((n_plus / n) * se_p, (n_minus / n) * se_m))
-    T = num / se if se > 0 else 0.0
-    return ManipulationTestResult(
-        cutoff=cutoff,
-        model="separate",
-        p_point=p,
-        p_infer=p,
-        h_minus=h_minus,
-        h_plus=h_plus,
-        n_minus=n_minus,
-        n_plus=n_plus,
-        m_eff_minus=fit_m.m_eff,
-        m_eff_plus=fit_p.m_eff,
-        f_minus=f_m,
-        f_plus=f_p,
-        se_diff=se,
-        T=T,
-        p_value=_two_sided_p(T) if se > 0 else 1.0,
-        warnings=tuple(warnings),
-    )
+    return _cutoff_test(sample, cutoff, p, kernel, "unrestricted", h_minus, h_plus)
 
 
 def test_restricted(
@@ -225,7 +210,7 @@ def test_restricted(
     """Restricted-model test: only the density may jump at the cutoff."""
     if h is None:
         h = diff_mse_bandwidth(sample, cutoff, p, kernel).h_common
-    return _joint_test(sample, cutoff, p, kernel, h, BasisKind.RESTRICTED)
+    return _cutoff_test(sample, cutoff, p, kernel, "restricted", h, h)
 
 
 def rbc_test(
@@ -246,8 +231,5 @@ def rbc_test(
     except LpDensError as exc:
         h = preliminary_bandwidth(sample)
         warnings.append(f"bandwidth-fallback-preliminary:{type(exc).__name__}")
-    if model == "separate":
-        result = _separate_test(sample, cutoff, p + 1, kernel, h, h, warnings)
-    else:
-        result = _joint_test(sample, cutoff, p + 1, kernel, h, BasisKind(model), warnings)
+    result = _cutoff_test(sample, cutoff, p + 1, kernel, model, h, h, warnings)
     return replace(result, p_point=p)

@@ -7,8 +7,6 @@ and any reduction schedule that preserves rep order.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -26,6 +24,8 @@ from .variance import standard_error
 _Z_5PCT = 1.959964  # Phi^{-1}(0.975) to six decimals
 
 SUMMARY_COLUMNS = ("x", "n", "p", "kernel", "bw_rule", "bias", "sd", "rmse", "se_mean", "size")
+#: columns of ``lpdens simulate --format csv``
+CSV_COLUMNS = SUMMARY_COLUMNS + ("fail_rate", "valid")
 
 
 @dataclass(frozen=True)
@@ -256,20 +256,6 @@ def run_design(design: SimDesign, threads: int = 1) -> list[dict]:
             "valid": bool(fail_rate <= 0.01),
         })
     return rows
-
-
-def summary_to_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    cols = SUMMARY_COLUMNS + ("fail_rate", "valid")
-    writer = csv.DictWriter(buf, fieldnames=cols, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: row[k] for k in cols})
-    return buf.getvalue()
-
-
-def summary_to_json(rows: list[dict]) -> str:
-    return json.dumps(rows, indent=2)
 
 
 def load_design(path: str) -> SimDesign:

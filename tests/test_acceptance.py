@@ -209,6 +209,7 @@ def calibration_cells():
     return out
 
 
+@pytest.mark.slow
 def test_criterion_06_normality_size_band(calibration_cells):
     # centered-t rejection rate at nominal 5% must lie in [0.03, 0.08]
     for cell, d in calibration_cells.items():
@@ -217,6 +218,7 @@ def test_criterion_06_normality_size_band(calibration_cells):
         assert 0.03 <= size <= 0.08, f"{cell}: size {size:.4f}"
 
 
+@pytest.mark.slow
 def test_criterion_07_standard_error_calibration(calibration_cells):
     # mean(se)/sd(f-hat) in [0.9, 1.1]; jackknife within 15% of gamma-hat
     for cell, d in calibration_cells.items():
@@ -265,6 +267,7 @@ def test_criterion_08_literal_example_value():
 # H0: Exponential(1), cutoff at the median -> rejection rate in [0.03, 0.08].
 # H1: density jumping 0.75 -> 0.25 at the cutoff -> rejection rate > 0.8.
 # --------------------------------------------------------------------------
+@pytest.mark.slow
 def test_criterion_09_manipulation_size_and_power():
     ln2 = float(np.log(2.0))
 
@@ -289,6 +292,7 @@ def test_criterion_09_manipulation_size_and_power():
 # Criterion 10: determinism. A simulate run repeated with the same seed is
 # byte-identical for every --threads value.
 # --------------------------------------------------------------------------
+@pytest.mark.slow
 def test_criterion_10_simulate_determinism(tmp_path, capsys):
     design = tmp_path / "design.json"
     design.write_text(json.dumps({

@@ -60,6 +60,15 @@ def test_density_partial_failure_exit_2(data_csv, capsys):
     assert "outside-support" in out.err
 
 
+@pytest.mark.parametrize("h", ["nan", "inf", "0", "-1"])
+def test_density_bad_fixed_bandwidth_is_a_value_error(data_csv, h, capsys):
+    code = main(["density", "--input", data_csv, "--grid", "5", f"--bandwidth={h}"])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert "error: value-error" in out.err
+
+
 def test_density_csv_output_file(data_csv, tmp_path, capsys):
     out = tmp_path / "dens.csv"
     code = main(["density", "--input", data_csv, "--grid", "5",
@@ -115,6 +124,23 @@ def test_simulate_zero_threads_is_a_value_error(design_json, capsys):
     assert "error: value-error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, target", [
+    (["density", "--grid", "5"], "lpdens.density.estimate_grid"),
+    (["test", "--cutoff", "1.0"], "lpdens.cli.rbc_test"),
+    (["simulate"], "lpdens.simulation.run_design"),
+])
+def test_memory_error_is_tagged(data_csv, design_json, monkeypatch, capsys, argv, target):
+    # the dense Gamma-hat raises MemoryError on large windows; stand in for it
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(target, out_of_memory)
+    source = ["--design", design_json] if argv[0] == "simulate" else ["--input", data_csv]
+    code = main(argv + source)
+    assert code == 1
+    assert "error: memory-error" in capsys.readouterr().err
+
+
 def test_simulate_malformed_design(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dgp": "exponential"}))
@@ -151,6 +177,10 @@ def test_help_lists_defaults(capsys):
                   "default: json", "triangular"):
         assert token in text
     assert "--threads" not in text
+    with pytest.raises(SystemExit):
+        main(["test", "--help"])
+    text = capsys.readouterr().out
+    assert "--output" in text and "--format" not in text
     with pytest.raises(SystemExit):
         main(["simulate", "--help"])
     assert "--threads" in capsys.readouterr().out

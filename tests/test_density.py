@@ -7,13 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from lpdens.density import (
-    FIELDS,
-    default_grid,
-    estimate_grid,
-    to_csv,
-    to_json,
-)
+from lpdens.cli import render
+from lpdens.density import FIELDS, default_grid, estimate_grid
 from lpdens.errors import EmptyGrid, InvalidAlpha
 from lpdens.sample import load_sample
 
@@ -69,7 +64,7 @@ def test_estimate_grid_outside_support_is_soft(exp_sample):
 
 
 def test_estimate_grid_fixed_bandwidth(exp_sample):
-    out = estimate_grid(exp_sample, [1.0], bw_policy="fixed", fixed_h=0.4)
+    out = estimate_grid(exp_sample, [1.0], h=0.4)
     assert out[0].h_used == 0.4
 
 
@@ -78,19 +73,19 @@ def test_estimate_grid_validation(exp_sample):
         estimate_grid(exp_sample, [])
     with pytest.raises(InvalidAlpha):
         estimate_grid(exp_sample, [1.0], alpha=1.5)
-    with pytest.raises(ValueError):
-        estimate_grid(exp_sample, [1.0], bw_policy="nope")
-    with pytest.raises(ValueError):
-        estimate_grid(exp_sample, [1.0], bw_policy="fixed")
+    for h in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            estimate_grid(exp_sample, [1.0], h=h)
 
 
 def test_json_and_csv_emitters(exp_sample):
     out = estimate_grid(exp_sample, [-1.0, 1.0])
-    records = json.loads(to_json(out))
+    records = json.loads(render([e.record() for e in out], FIELDS, "json"))
     assert [r["x"] for r in records] == [-1.0, 1.0]
     assert records[0]["error"] == "outside-support"
 
-    rows = list(csv.DictReader(io.StringIO(to_csv(out))))
+    text = render([e.record() for e in out], FIELDS, "csv")
+    rows = list(csv.DictReader(io.StringIO(text)))
     assert tuple(rows[0].keys()) == FIELDS
     assert rows[0]["f_hat"] == ""  # failed point serialized as empty
     assert float(rows[1]["f_hat"]) == pytest.approx(out[1].f_hat)

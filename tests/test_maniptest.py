@@ -6,7 +6,7 @@ import pytest
 from lpdens.errors import EmptySide, LpDensError
 from lpdens.kernels import BasisKind
 from lpdens.lpfit import derivative_estimate, fit_local
-from lpdens.maniptest import diff_mse_bandwidth, rbc_test
+from lpdens.maniptest import MODELS, _cutoff_test, diff_mse_bandwidth, rbc_test
 from lpdens.maniptest import test_restricted as restricted_test
 from lpdens.maniptest import test_unrestricted as unrestricted_test
 from lpdens.sample import load_sample, split_at_cutoff
@@ -63,12 +63,10 @@ def test_unrestricted_distinct_bandwidths_use_separate(normal_sample):
 
 def test_joint_and_separate_T_agree_under_common_h(normal_sample):
     """Numerators are identical; the studentized forms agree asymptotically."""
-    from lpdens.maniptest import _separate_test
-
     s = normal_sample
     h = 0.8
     joint = unrestricted_test(s, 0.1, p=2, h_minus=h, h_plus=h)
-    sep = _separate_test(s, 0.1, 2, "triangular", h, h)
+    sep = _cutoff_test(s, 0.1, 2, "triangular", "separate", h, h)
     num_joint = joint.f_plus - joint.f_minus
     num_sep = (sep.n_plus / s.n) * sep.f_plus - (sep.n_minus / s.n) * sep.f_minus
     # exact identity for the jump estimate
@@ -90,8 +88,10 @@ def test_restricted_no_jump_when_density_continuous(normal_sample):
     assert abs(res.T) < 4.0
 
 
-def test_rbc_orders(normal_sample):
-    res = rbc_test(normal_sample, 0.0, p=2)
+@pytest.mark.parametrize("model", MODELS)
+def test_rbc_orders(normal_sample, model):
+    res = rbc_test(normal_sample, 0.0, p=2, model=model)
+    assert res.model == model
     assert res.p_point == 2 and res.p_infer == 3
     assert res.h_minus == res.h_plus > 0
 

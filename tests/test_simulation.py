@@ -7,15 +7,15 @@ import pytest
 from scipy.stats import norm
 
 from lpdens.errors import ZeroBias
+from lpdens.cli import render
 from lpdens.simulation import (
+    CSV_COLUMNS,
     SimDesign,
     get_dgp,
     load_design,
     rep_rng,
     run_design,
     sample_dgp,
-    summary_to_csv,
-    summary_to_json,
     true_mse_bandwidth,
 )
 
@@ -121,8 +121,8 @@ def test_run_design_thread_invariance():
     design = SimDesign(
         dgp=get_dgp("truncated_normal"), eval_points=(0.5,), n=300, reps=16, seed=9
     )
-    csv1 = summary_to_csv(run_design(design, threads=1))
-    csv4 = summary_to_csv(run_design(design, threads=4))
+    csv1 = render(run_design(design, threads=1), CSV_COLUMNS, "csv")
+    csv4 = render(run_design(design, threads=4), CSV_COLUMNS, "csv")
     assert csv1 == csv4
 
 
@@ -156,7 +156,7 @@ def test_summary_emitters():
         dgp=get_dgp("exponential"), eval_points=(1.0,), n=300, reps=10, seed=1
     )
     rows = run_design(design)
-    text = summary_to_csv(rows)
-    assert text.splitlines()[0].startswith("x,n,p,kernel,bw_rule,bias,sd,rmse,se_mean,size")
-    parsed = json.loads(summary_to_json(rows))
+    text = render(rows, CSV_COLUMNS, "csv")
+    assert text.splitlines()[0] == "x,n,p,kernel,bw_rule,bias,sd,rmse,se_mean,size,fail_rate,valid"
+    parsed = json.loads(render(rows, CSV_COLUMNS, "json"))
     assert parsed[0]["n"] == 300
