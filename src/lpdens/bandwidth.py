@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientData, NonPositiveVariance, ZeroBias, ZeroVariance
-from .kernels import factorial, moments
+from .kernels import BasisKind, EvalRegion, factorial, moments, selector
 from .lpfit import LocalFit, derivative_estimate, fit_local
 from .sample import Sample, edf
 from .variance import gamma_hat
@@ -105,9 +105,7 @@ def _golden_section(objective, lo: float, hi: float, max_iter: int = 200, rtol: 
 def variance_constant(sample: Sample, fit: LocalFit, v: int) -> float:
     """V-hat such that variance(h) ~= V-hat / (n h^{2v-1}), from Gamma-hat at ell = ``fit.h``."""
     G = gamma_hat(sample, fit)
-    e = np.zeros(fit.d)
-    e[v] = 1.0
-    z = fit.solve_S(e)
+    z = fit.solve_S(selector(fit.p, fit.basis, v))
     q = float(z @ G @ z)
     return factorial(v) ** 2 * max(q, 0.0) / fit.h
 
@@ -130,19 +128,14 @@ def mse_bandwidth(
         raise ValueError("need 0 <= v <= p")
     fit = fit_local(sample, x, preliminary_bandwidth(sample), p, kernel)
     bc = estimate_bias_constants(sample, fit)
-
-    e = np.zeros(p + 1)
-    e[v] = 1.0
-    B1 = factorial(v) * bc.F_p1 / factorial(p + 1) * float(e @ bc.Sinv_c)
-    B2 = factorial(v) * bc.F_p2 / factorial(p + 2) * float(e @ bc.Sinv_ctilde)
+    B1 = factorial(v) * bc.F_p1 / factorial(p + 1) * float(bc.Sinv_c[v])
+    B2 = factorial(v) * bc.F_p2 / factorial(p + 2) * float(bc.Sinv_ctilde[v])
 
     n = sample.n
     if v >= 1:
         V = variance_constant(sample, fit, v)
-        if not fit.region.is_interior or (p - v) % 2 == 1:
-            B, order, tag = B1, 1, "odd_or_boundary"
-        else:
-            B, order, tag = B2, 2, "even_interior"
+        order, tag = mse_case(fit.region, p, v)
+        B = B1 if order == 1 else B2
         h = closed_form_h(V, B, n, p, v, order)
         if not h > 0:
             raise NonPositiveVariance(f"variance constant {V:.3e} gives bandwidth {h}")
@@ -152,11 +145,11 @@ def mse_bandwidth(
 
     # v = 0: empirical MSE with the quadratic-variance term restoring the
     # trade-off; minimized numerically on log h
-    f_hat = derivative_estimate(fit, 1) if p >= 1 else max(edf(sample, x), 1e-3)
-    f_hat = max(f_hat, 1e-12)
     Ftil = edf(sample, x)
+    f_hat = derivative_estimate(fit, 1) if p >= 1 else max(Ftil, 1e-3)
+    f_hat = max(f_hat, 1e-12)
     mom = moments(kernel, fit.region, p)
-    z = np.linalg.solve(mom.S, e)
+    z = np.linalg.solve(mom.S, selector(p, BasisKind.STANDARD, 0))
     V2 = 2.0 * f_hat * Ftil * (1.0 - Ftil) * float(z @ mom.Tmat @ z)
     if fit.region.is_interior:
         V1 = f_hat * float(z @ mom.Gamma @ z)
@@ -177,6 +170,13 @@ def mse_bandwidth(
         bias_estimate=h ** (p + 1) * B1 + h ** (p + 2) * B2,
         variance_constant=V1,
     )
+
+
+def mse_case(region: EvalRegion, p: int, v: int) -> tuple[int, str]:
+    """(bias_order, case_tag) of the closed form: 2 only if interior with p - v even."""
+    if not region.is_interior or (p - v) % 2 == 1:
+        return 1, "odd_or_boundary"
+    return 2, "even_interior"
 
 
 def closed_form_h(V: float, B: float, n: int, p: int, v: int, bias_order: int = 1) -> float:

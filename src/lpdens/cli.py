@@ -19,8 +19,13 @@ from dataclasses import replace
 from . import density as density_mod
 from . import simulation
 from .errors import LpDensError
+from .kernels import KERNEL_FAMILIES
 from .maniptest import MODELS, rbc_test
 from .sample import load_csv
+
+
+class OutputNotWritable(OSError):
+    """The ``--output`` file could not be written."""
 
 
 def _reason_tag(exc: Exception) -> str:
@@ -56,28 +61,23 @@ def _emit(text: str, output_path: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(output_path, "w") as fh:
-            fh.write(text)
-
-
-def _default_threads() -> int:
-    return int(os.environ.get("LPDENS_THREADS", "1"))
+        try:
+            with open(output_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OutputNotWritable(f"cannot write {output_path}") from exc
 
 
 def cmd_density(args) -> int:
-    try:
-        sample = load_csv(args.input)
-        if args.grid_points is not None:
-            grid = args.grid_points
-        else:
-            grid = density_mod.default_grid(sample, args.grid)
-        h = None if args.bandwidth == "auto" else float(args.bandwidth)
-        estimates = density_mod.estimate_grid(
-            sample, grid, p=args.p, v=args.v, kernel=args.kernel, h=h, alpha=args.alpha,
-        )
-    except (LpDensError, OSError, ValueError, MemoryError) as exc:
-        return _fail(exc)
-
+    sample = load_csv(args.input)
+    if args.grid_points is not None:
+        grid = args.grid_points
+    else:
+        grid = density_mod.default_grid(sample, args.grid)
+    h = None if args.bandwidth == "auto" else float(args.bandwidth)
+    estimates = density_mod.estimate_grid(
+        sample, grid, p=args.p, v=args.v, kernel=args.kernel, h=h, alpha=args.alpha,
+    )
     _emit(render([e.record() for e in estimates], density_mod.FIELDS, args.format), args.output)
     failed = [e for e in estimates if e.error is not None]
     for e in failed:
@@ -86,11 +86,8 @@ def cmd_density(args) -> int:
 
 
 def cmd_test(args) -> int:
-    try:
-        sample = load_csv(args.input)
-        result = rbc_test(sample, args.cutoff, p=args.p, kernel=args.kernel, model=args.model)
-    except (LpDensError, OSError, ValueError, MemoryError) as exc:
-        return _fail(exc)
+    sample = load_csv(args.input)
+    result = rbc_test(sample, args.cutoff, p=args.p, kernel=args.kernel, model=args.model)
     _emit(render(result.record(), None, "json"), args.output)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -98,13 +95,10 @@ def cmd_test(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        design = simulation.load_design(args.design)
-        if args.seed is not None:
-            design = replace(design, seed=args.seed)
-        rows = simulation.run_design(design, threads=args.threads)
-    except (OSError, ValueError, KeyError, LpDensError, MemoryError) as exc:
-        return _fail(exc)
+    design = simulation.load_design(args.design)
+    if args.seed is not None:
+        design = replace(design, seed=args.seed)
+    rows = simulation.run_design(design, threads=args.threads)
     _emit(render(rows, simulation.CSV_COLUMNS, args.format), args.output)
     return 0
 
@@ -126,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--input", required=True, help="single-column CSV of observations")
         output(sp, formats)
         sp.add_argument("--p", type=int, default=2, help="polynomial order (default: 2)")
-        sp.add_argument("--kernel", choices=("triangular", "epanechnikov", "uniform"),
+        sp.add_argument("--kernel", choices=KERNEL_FAMILIES,
                         default="triangular", help="kernel family (default: triangular)")
 
     sp = sub.add_parser("density", help="estimate the density over a grid")
@@ -153,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--design", required=True, help="JSON design file")
     output(sp)
     sp.add_argument("--seed", type=int, default=None, help="override the design seed")
-    sp.add_argument("--threads", type=int, default=_default_threads(),
+    sp.add_argument("--threads", type=int, default=int(os.environ.get("LPDENS_THREADS", "1")),
                     help="worker threads (default: LPDENS_THREADS or 1); "
                          "output is thread-count invariant")
     sp.set_defaults(func=cmd_simulate)
@@ -162,7 +156,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (LpDensError, OSError, ValueError, KeyError, MemoryError) as exc:
+        return _fail(exc)
 
 
 if __name__ == "__main__":

@@ -50,55 +50,52 @@ class BasisKind(enum.Enum):
     RESTRICTED = "restricted"  # [1, u*1{u<0}, u*1{u>=0}, u^2..u^p], dim p+2
 
 
-def basis_dim(p: int, basis: BasisKind) -> int:
+@lru_cache(maxsize=None)
+def _columns(p: int, basis: BasisKind) -> tuple:
+    """(power, side) of each basis column; side None is shared by both sides."""
+    shared = [(j, None) for j in range(p + 1)]
     if basis is BasisKind.STANDARD:
-        return p + 1
+        return tuple(shared)
     if basis is BasisKind.UNRESTRICTED:
-        return 2 * p + 2
+        return tuple((j, side) for side in ("left", "right") for j in range(p + 1))
     if p < 1:
         raise ValueError(f"restricted basis needs p >= 1, got {p}")
-    return p + 2
+    return ((0, None), (1, "left"), (1, "right"), *shared[2:])
+
+
+def basis_dim(p: int, basis: BasisKind) -> int:
+    return len(_columns(p, basis))
 
 
 def basis_powers(p: int, basis: BasisKind) -> np.ndarray:
     """Monomial power of each basis column (drives the bandwidth rescaling)."""
-    if basis is BasisKind.STANDARD:
-        return np.arange(p + 1)
-    if basis is BasisKind.UNRESTRICTED:
-        return np.concatenate([np.arange(p + 1), np.arange(p + 1)])
-    return np.array([0, 1, 1] + list(range(2, p + 1)))
+    return np.array([power for power, _ in _columns(p, basis)])
 
 
 def basis_matrix(u, p: int, basis: BasisKind) -> np.ndarray:
-    """Rows r_p(u_i) for each input point."""
+    """Rows r_p(u_i) for each input point; u = 0 belongs to the right side."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     mono = u[:, None] ** np.arange(p + 1)[None, :]
     if basis is BasisKind.STANDARD:
         return mono
-    neg = (u < 0)[:, None]
-    if basis is BasisKind.UNRESTRICTED:
-        return np.hstack([mono * neg, mono * ~neg])
-    cols = [np.ones_like(u), u * neg.ravel(), u * ~neg.ravel()]
-    cols += [u**j for j in range(2, p + 1)]
-    return np.column_stack(cols)
+    neg = u < 0
+    mask = {None: True, "left": neg, "right": ~neg}
+    return np.column_stack([mono[:, j] * mask[side] for j, side in _columns(p, basis)])
 
 
 def selector_index(p: int, basis: BasisKind, v: int, side: str | None = None) -> int:
     """Column index extracting the order-v coefficient (per side at a cutoff)."""
-    if basis is BasisKind.STANDARD:
-        return v
-    if basis is BasisKind.UNRESTRICTED:
-        if side not in ("left", "right"):
-            raise ValueError("unrestricted basis requires side='left' or 'right'")
-        return v if side == "left" else p + 1 + v
-    # restricted: only the linear term splits
-    if v == 0:
-        return 0
-    if v == 1:
-        if side not in ("left", "right"):
-            raise ValueError("restricted basis requires a side for v=1")
-        return 1 if side == "left" else 2
-    return v + 1
+    for i, (power, col_side) in enumerate(_columns(p, basis)):
+        if power == v and col_side in (None, side):
+            return i
+    raise ValueError(f"order-{p} {basis.value} basis has no order-{v} column for side={side!r}")
+
+
+def selector(p: int, basis: BasisKind, v: int, side: str | None = None) -> np.ndarray:
+    """Unit vector e_v picking the order-v coefficient (per side at a cutoff)."""
+    e = np.zeros(basis_dim(p, basis))
+    e[selector_index(p, basis, v, side)] = 1.0
+    return e
 
 
 @dataclass(frozen=True)
@@ -143,7 +140,6 @@ class KernelMoments:
     c_tilde: np.ndarray
     Gamma: np.ndarray
     Tmat: np.ndarray
-    d: int
 
 
 def _gauss_legendre(a: float, b):
@@ -199,7 +195,7 @@ def _moments_cached(family: str, a: float, b: float, p: int, basis: BasisKind):
             cross = np.outer(seg_m1[si], seg_m0[sj])
             Gamma += cross + cross.T
 
-    return KernelMoments(S=S, c=c, c_tilde=c_tilde, Gamma=Gamma, Tmat=Tmat, d=d)
+    return KernelMoments(S=S, c=c, c_tilde=c_tilde, Gamma=Gamma, Tmat=Tmat)
 
 
 def moments(

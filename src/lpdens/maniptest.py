@@ -138,7 +138,8 @@ def _cutoff_test(sample, cutoff, p, kernel, model, h_minus, h_plus, warnings=())
     one-sided density estimates. The separate model, and any pair of
     distinct bandwidths, fits each side's own EDF; f_minus/f_plus are then
     conditional density estimates entering T with weights n_minus/n and
-    n_plus/n.
+    n_plus/n. A standard error that is not positive raises
+    :class:`NonPositiveVariance`.
     """
     left, right, n_minus, n_plus = split_at_cutoff(sample, cutoff)
     if model == "separate" or h_minus != h_plus:
@@ -159,7 +160,9 @@ def _cutoff_test(sample, cutoff, p, kernel, model, h_minus, h_plus, warnings=())
         jump = f_plus - f_minus
         se, _ = difference_se(sample, fit)
         m_eff_minus, m_eff_plus = fit.m_eff_minus, fit.m_eff_plus
-    T = jump / se if se > 0 else 0.0
+    if not se > 0:
+        raise NonPositiveVariance(f"standard error of the density jump is {se}")
+    T = jump / se
     return ManipulationTestResult(
         cutoff=cutoff,
         model=model,
@@ -175,7 +178,7 @@ def _cutoff_test(sample, cutoff, p, kernel, model, h_minus, h_plus, warnings=())
         f_plus=f_plus,
         se_diff=se,
         T=T,
-        p_value=_two_sided_p(T) if se > 0 else 1.0,
+        p_value=_two_sided_p(T),
         warnings=tuple(warnings),
     )
 

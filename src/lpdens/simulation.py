@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .bandwidth import closed_form_h, mse_bandwidth
+from .bandwidth import closed_form_h, mse_bandwidth, mse_case
 from .errors import LpDensError
-from .kernels import classify_region, factorial, moments
+from .kernels import BasisKind, classify_region, factorial, moments, selector
 from .lpfit import derivative_estimate, fit_local
 from .sample import load_sample
 from .variance import standard_error
@@ -158,27 +158,29 @@ def true_mse_bandwidth(dgp: DGP, x: float, n: int, p: int = 2, v: int = 1, kerne
     """Population MSE-optimal bandwidth from analytic derivatives.
 
     Region classification depends on the bandwidth itself near a boundary,
-    so the closed form is iterated to a fixed point.
+    so the closed form is iterated to a fixed point. The closed form
+    V / (n h^{2v-1}) needs 1 <= v <= p; other orders raise ``ValueError``.
     """
+    if not 1 <= v <= p:
+        raise ValueError(f"true MSE bandwidth needs 1 <= v <= p, got v={v}, p={p}")
     lo, hi = dgp.support
     f = dgp.pdf(x)
+    e = selector(p, BasisKind.STANDARD, v)
     h = n ** (-1.0 / (2 * p + 1))
     for _ in range(100):
         region = classify_region(x, h, lo, hi)
         mom = moments(kernel, region, p)
-        e = np.zeros(p + 1)
-        e[v] = 1.0
         z = np.linalg.solve(mom.S, e)
         V = factorial(v) ** 2 * f * float(z @ mom.Gamma @ z)
-        if not region.is_interior or (p - v) % 2 == 1:
+        order, _ = mse_case(region, p, v)
+        if order == 1:
             B = factorial(v) * dgp.cdf_deriv(x, p + 1) / factorial(p + 1) * float(z @ mom.c)
-            h_new = closed_form_h(V, B, n, p, v)
         else:
-            B2 = factorial(v) * (
+            B = factorial(v) * (
                 dgp.cdf_deriv(x, p + 2) / factorial(p + 2)
                 + dgp.cdf_deriv(x, p + 1) / factorial(p + 1) * dgp.cdf_deriv(x, 2) / f
             ) * float(z @ mom.c_tilde)
-            h_new = closed_form_h(V, B2, n, p, v, bias_order=2)
+        h_new = closed_form_h(V, B, n, p, v, order)
         if abs(h_new - h) <= 1e-12 * h:
             return float(h_new)
         h = h_new

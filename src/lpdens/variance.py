@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeDensity, NonPositiveVariance
-from .kernels import BasisKind, factorial, moments, selector_index
+from .kernels import BasisKind, factorial, moments, selector
 from .lpfit import LocalFit, derivative_estimate, fit_local
 from .sample import Sample, edf, edf_values
 
@@ -28,7 +28,6 @@ class VarianceEstimate:
     V_hat: float
     se: float
     v: int
-    scaling_note: str
 
 
 def gamma_hat(sample: Sample, fit: LocalFit) -> np.ndarray:
@@ -55,11 +54,10 @@ def _se_from_form(q: float, n: int, h: float, v: int) -> float:
 
 
 def _estimate(
-    method: str, fit: LocalFit, G: np.ndarray, v: int, side: str | None, note: str
+    method: str, fit: LocalFit, G: np.ndarray, v: int, side: str | None
 ) -> VarianceEstimate:
-    e = np.zeros(fit.d)
-    e[selector_index(fit.p, fit.basis, v, side)] = 1.0
-    z = fit.solve_S(e)
+    """se = v! sqrt(q / (n h^{2v})), q = e_v' S^-1 G S^-1 e_v; no interior/boundary branch."""
+    z = fit.solve_S(selector(fit.p, fit.basis, v, side))
     q = float(z @ G @ z)
     return VarianceEstimate(
         method=method,
@@ -67,7 +65,6 @@ def _estimate(
         V_hat=q,
         se=_se_from_form(q, fit.n, fit.h, v),
         v=v,
-        scaling_note=note,
     )
 
 
@@ -75,10 +72,7 @@ def standard_error(
     sample: Sample, fit: LocalFit, v: int, side: str | None = None
 ) -> VarianceEstimate:
     """Gamma-hat standard error for the order-v derivative estimate."""
-    return _estimate(
-        "gamma_hat", fit, gamma_hat(sample, fit), v, side,
-        "se = v! sqrt(q / (n h^{2v})); no interior/boundary branch",
-    )
+    return _estimate("gamma_hat", fit, gamma_hat(sample, fit), v, side)
 
 
 def difference_se(sample: Sample, fit: LocalFit) -> tuple[float, np.ndarray]:
@@ -90,9 +84,7 @@ def difference_se(sample: Sample, fit: LocalFit) -> tuple[float, np.ndarray]:
     if fit.basis is BasisKind.STANDARD:
         raise ValueError("difference_se requires a cutoff basis")
     G = gamma_hat(sample, fit)
-    e = np.zeros(fit.d)
-    e[selector_index(fit.p, fit.basis, 1, "right")] = 1.0
-    e[selector_index(fit.p, fit.basis, 1, "left")] = -1.0
+    e = selector(fit.p, fit.basis, 1, "right") - selector(fit.p, fit.basis, 1, "left")
     z = fit.solve_S(e)
     return _se_from_form(float(z @ G @ z), fit.n, fit.h, v=1), G
 
@@ -130,11 +122,8 @@ def jackknife_gamma(sample: Sample, fit: LocalFit) -> np.ndarray:
 def jackknife_se(
     sample: Sample, fit: LocalFit, v: int, side: str | None = None
 ) -> VarianceEstimate:
-    """Jackknife-based standard error; same assembly as the Gamma-hat route."""
-    return _estimate(
-        "jackknife", fit, jackknife_gamma(sample, fit), v, side,
-        "se = v! sqrt(q / (n h^{2v})) with Gamma-hat^JK",
-    )
+    """Jackknife-based standard error; same assembly as the Gamma-hat route, with Gamma-hat^JK."""
+    return _estimate("jackknife", fit, jackknife_gamma(sample, fit), v, side)
 
 
 def plugin_se(
@@ -142,8 +131,9 @@ def plugin_se(
 ) -> VarianceEstimate:
     """Plug-in standard error: quadrature S, Gamma plus the estimated density.
 
-    Requires knowledge of the support (through the evaluation region) and a
-    positive density estimate; raises :class:`NegativeDensity` otherwise.
+    se = sqrt(V / (n h^{2v-1})) with V = (v!)^2 f S^-1 Gamma S^-1. Requires
+    knowledge of the support (through the evaluation region) and a positive
+    density estimate; raises :class:`NegativeDensity` otherwise.
     """
     if p < 1 or v < 1:
         raise ValueError("plug-in route requires p >= 1 and v >= 1")
@@ -152,9 +142,7 @@ def plugin_se(
     if f_hat <= 0:
         raise NegativeDensity(f"estimated density {f_hat} <= 0 at x={x}")
     mom = moments(kernel, fit.region, p)
-    e = np.zeros(p + 1)
-    e[v] = 1.0
-    z = np.linalg.solve(mom.S, e)
+    z = np.linalg.solve(mom.S, selector(p, BasisKind.STANDARD, v))
     V_hat = factorial(v) ** 2 * f_hat * float(z @ mom.Gamma @ z)
     se = float(np.sqrt(V_hat / (sample.n * h ** (2 * v - 1))))
     return VarianceEstimate(
@@ -163,5 +151,4 @@ def plugin_se(
         V_hat=V_hat,
         se=se,
         v=v,
-        scaling_note="se = sqrt(V / (n h^{2v-1})), V = (v!)^2 f S^-1 Gamma S^-1",
     )

@@ -141,6 +141,43 @@ def test_memory_error_is_tagged(data_csv, design_json, monkeypatch, capsys, argv
     assert "error: memory-error" in capsys.readouterr().err
 
 
+def test_simulate_cdf_target_with_true_bandwidth_is_a_value_error(tmp_path, capsys):
+    design = tmp_path / "v0.json"
+    design.write_text(json.dumps({
+        "dgp": "exponential", "eval_points": [0.5], "n": 400, "reps": 4, "v": 0,
+    }))
+    code = main(["simulate", "--design", str(design)])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err.splitlines() == ["error: value-error"]
+
+
+def test_test_zero_standard_error_is_tagged(data_csv, monkeypatch, capsys):
+    monkeypatch.setattr("lpdens.maniptest.difference_se", lambda sample, fit: (0.0, None))
+    code = main(["test", "--input", data_csv, "--cutoff", "1.0"])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err.splitlines() == ["error: non-positive-variance"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--grid", "5", "--bandwidth", "0.4"],
+    ["test", "--cutoff", "1.0"],
+    ["simulate"],
+])
+def test_unwritable_output_is_tagged(data_csv, design_json, tmp_path, capsys, argv):
+    source = ["--design", design_json] if argv[0] == "simulate" else ["--input", data_csv]
+    target = tmp_path / "missing-dir" / "out.json"
+    code = main(argv + source + ["--output", str(target)])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err.splitlines() == ["error: output-not-writable"]
+    assert not target.exists()
+
+
 def test_simulate_malformed_design(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dgp": "exponential"}))

@@ -15,6 +15,7 @@ from lpdens.kernels import (
     classify_region,
     kernel_value,
     moments,
+    selector,
     selector_index,
 )
 from lpdens.lpfit import fit_local
@@ -84,6 +85,25 @@ def test_selector_indices():
     assert selector_index(3, BasisKind.RESTRICTED, 2) == 3
     with pytest.raises(ValueError):
         selector_index(2, BasisKind.UNRESTRICTED, 1)
+    # selector is the one-hot e_v on the same column, in every basis
+    for basis, v, side, idx in [
+        (BasisKind.STANDARD, 0, None, 0),
+        (BasisKind.STANDARD, 2, None, 2),
+        (BasisKind.UNRESTRICTED, 1, "left", 1),
+        (BasisKind.UNRESTRICTED, 1, "right", 4),
+        (BasisKind.RESTRICTED, 0, None, 0),
+        (BasisKind.RESTRICTED, 1, "left", 1),
+        (BasisKind.RESTRICTED, 1, "right", 2),
+        (BasisKind.RESTRICTED, 2, "right", 3),
+    ]:
+        assert np.array_equal(selector(2, basis, v, side), np.eye(basis_dim(2, basis))[idx])
+    with pytest.raises(ValueError):
+        selector(2, BasisKind.RESTRICTED, 1)
+    for basis in BasisKind:
+        with pytest.raises(ValueError):
+            selector(2, basis, 3, "left")
+        with pytest.raises(ValueError):
+            selector(2, basis, -1, "left")
 
 
 def test_classify_region_cases():

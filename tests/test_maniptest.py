@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lpdens.errors import EmptySide, LpDensError
+from lpdens.errors import EmptySide, LpDensError, NonPositiveVariance
 from lpdens.kernels import BasisKind
 from lpdens.lpfit import derivative_estimate, fit_local
 from lpdens.maniptest import MODELS, _cutoff_test, diff_mse_bandwidth, rbc_test
@@ -131,6 +131,14 @@ def test_rbc_rejects_bad_order_and_model(normal_sample):
         rbc_test(normal_sample, 0.0, p=0)
     with pytest.raises(ValueError):
         rbc_test(normal_sample, 0.0, model="two-sided")
+
+
+@pytest.mark.parametrize("model", ["unrestricted", "restricted"])
+def test_zero_standard_error_is_typed(normal_sample, monkeypatch, model):
+    # a zero jump standard error used to give T = 0 and p = 1 silently
+    monkeypatch.setattr("lpdens.maniptest.difference_se", lambda sample, fit: (0.0, None))
+    with pytest.raises(NonPositiveVariance):
+        rbc_test(normal_sample, 0.0, model=model)
 
 
 def test_cutoff_outside_data(normal_sample):

@@ -104,6 +104,25 @@ def test_true_mse_bandwidth_uniform_zero_bias():
         true_mse_bandwidth(get_dgp("uniform01"), 0.5, 2000, p=2, v=1)
 
 
+@pytest.mark.parametrize("v", [0, 3, -1])
+def test_true_mse_bandwidth_needs_order_in_one_to_p(v):
+    # the closed form V / (n h^{2v-1}) has no optimum for v = 0
+    with pytest.raises(ValueError):
+        true_mse_bandwidth(get_dgp("exponential"), 0.5, 400, p=2, v=v)
+
+
+def test_run_design_cdf_target_needs_estimated_bandwidth():
+    dgp = get_dgp("exponential")
+    for rule in ("mse_true", 1.5):
+        design = SimDesign(dgp=dgp, eval_points=(0.5,), n=400, reps=4, v=0, bandwidth_rule=rule)
+        with pytest.raises(ValueError):
+            run_design(design)
+    design = SimDesign(dgp=dgp, eval_points=(0.5,), n=400, reps=4, v=0,
+                       bandwidth_rule="mse_estimated")
+    (row,) = run_design(design)
+    assert row["valid"] is True and np.isfinite(row["bias"])
+
+
 def test_run_design_summary_contract():
     design = SimDesign(
         dgp=get_dgp("exponential"), eval_points=(0.5, 1.0), n=400, reps=30, seed=2
