@@ -16,7 +16,7 @@ from .errors import InsufficientData, NonPositiveVariance, ZeroBias, ZeroVarianc
 from .kernels import BasisKind, EvalRegion, factorial, moments, selector
 from .lpfit import LocalFit, derivative_estimate, fit_local
 from .sample import Sample, edf
-from .variance import gamma_hat
+from .variance import gamma_hat, quadratic_form
 
 _ZERO_BIAS_TOL = 1e-12
 
@@ -104,9 +104,7 @@ def _golden_section(objective, lo: float, hi: float, max_iter: int = 200, rtol: 
 
 def variance_constant(sample: Sample, fit: LocalFit, v: int) -> float:
     """V-hat such that variance(h) ~= V-hat / (n h^{2v-1}), from Gamma-hat at ell = ``fit.h``."""
-    G = gamma_hat(sample, fit)
-    z = fit.solve_S(selector(fit.p, fit.basis, v))
-    q = float(z @ G @ z)
+    q = quadratic_form(fit, gamma_hat(sample, fit), selector(fit.p, fit.basis, v))
     return factorial(v) ** 2 * max(q, 0.0) / fit.h
 
 

@@ -147,7 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--design", required=True, help="JSON design file")
     output(sp)
     sp.add_argument("--seed", type=int, default=None, help="override the design seed")
-    sp.add_argument("--threads", type=int, default=int(os.environ.get("LPDENS_THREADS", "1")),
+    # a string default goes through type=int only when simulate is parsed,
+    # so a malformed LPDENS_THREADS is a usage error there and nowhere else
+    sp.add_argument("--threads", type=int, default=os.environ.get("LPDENS_THREADS", "1"),
                     help="worker threads (default: LPDENS_THREADS or 1); "
                          "output is thread-count invariant")
     sp.set_defaults(func=cmd_simulate)

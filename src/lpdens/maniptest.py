@@ -158,7 +158,7 @@ def _cutoff_test(sample, cutoff, p, kernel, model, h_minus, h_plus, warnings=())
         f_minus = derivative_estimate(fit, 1, "left")
         f_plus = derivative_estimate(fit, 1, "right")
         jump = f_plus - f_minus
-        se, _ = difference_se(sample, fit)
+        se = difference_se(sample, fit)
         m_eff_minus, m_eff_plus = fit.m_eff_minus, fit.m_eff_plus
     if not se > 0:
         raise NonPositiveVariance(f"standard error of the density jump is {se}")

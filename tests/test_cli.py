@@ -154,7 +154,7 @@ def test_simulate_cdf_target_with_true_bandwidth_is_a_value_error(tmp_path, caps
 
 
 def test_test_zero_standard_error_is_tagged(data_csv, monkeypatch, capsys):
-    monkeypatch.setattr("lpdens.maniptest.difference_se", lambda sample, fit: (0.0, None))
+    monkeypatch.setattr("lpdens.maniptest.difference_se", lambda sample, fit: 0.0)
     code = main(["test", "--input", data_csv, "--cutoff", "1.0"])
     out = capsys.readouterr()
     assert code == 1
@@ -228,3 +228,33 @@ def test_threads_env_fallback(design_json, monkeypatch, capsys):
     from lpdens.cli import build_parser
     args = build_parser().parse_args(["simulate", "--design", design_json])
     assert args.threads == 2
+
+
+def test_malformed_threads_env_fails_only_simulate(data_csv, design_json, monkeypatch, capsys):
+    monkeypatch.setenv("LPDENS_THREADS", "abc")
+    assert main(["test", "--input", data_csv, "--cutoff", "1.0"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--design", design_json])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "--threads: invalid int value: 'abc'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("rule", ["mse_true", {"multiple": 0.5}])
+def test_simulate_uniform_true_bandwidth_is_zero_bias(tmp_path, capsys, rule):
+    # the flat density has zero true bias, so the true MSE-optimal bandwidth
+    # does not exist; the estimated rule still runs
+    design = {"dgp": "uniform01", "eval_points": [0.5, 0.05], "n": 500, "reps": 4,
+              "bandwidth_rule": rule}
+    path = tmp_path / "uniform.json"
+    path.write_text(json.dumps(design))
+    code = main(["simulate", "--design", str(path)])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err.splitlines() == ["error: zero-bias"]
+    path.write_text(json.dumps({**design, "bandwidth_rule": "mse_estimated"}))
+    assert main(["simulate", "--design", str(path)]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 2
