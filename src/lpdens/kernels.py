@@ -141,6 +141,11 @@ class KernelMoments:
     Gamma: np.ndarray
     Tmat: np.ndarray
 
+    def __post_init__(self):
+        # cached and shared across threads: an in-place edit would poison every later call
+        for a in (self.S, self.c, self.c_tilde, self.Gamma, self.Tmat):
+            a.flags.writeable = False
+
 
 def _gauss_legendre(a: float, b):
     """Gauss-Legendre nodes and weights on [a, b]; an array ``b`` adds a leading axis."""

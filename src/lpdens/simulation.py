@@ -212,7 +212,8 @@ def run_design(design: SimDesign, threads: int = 1) -> list[dict]:
 
     Returns one row per evaluation point with columns
     (x, n, p, kernel, bw_rule, bias, sd, rmse, se_mean, size); a row with
-    more than 1% failed replications is flagged invalid. The thread pool
+    more than 1% failed replications is flagged invalid, and one where all
+    failed has None for bias through size. The thread pool
     raises ``ValueError`` when ``threads`` is below 1.
     """
     h_fixed = {}
@@ -233,27 +234,26 @@ def run_design(design: SimDesign, threads: int = 1) -> list[dict]:
         ok = np.isfinite(f_hat) & np.isfinite(se)
         fail_rate = float(1.0 - ok.mean())
         f_ok, se_ok = f_hat[ok], se[ok]
-        f_true = design.dgp.cdf(x) if design.v == 0 else design.dgp.cdf_deriv(x, design.v)
-        mean_f = float(np.mean(f_ok))
-        bias = mean_f - float(f_true)
-        sd = float(np.std(f_ok))  # ddof=0 so rmse^2 == bias^2 + sd^2 exactly
-        rmse = float(np.sqrt(bias**2 + sd**2))
-        # centered t per the harness convention: measures pure normal
-        # approximation error, not bias
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.abs(f_ok - mean_f) / se_ok
-        size = float(np.mean(t >= _Z_5PCT))
+        # undefined when every replication failed: JSON null, an empty CSV cell
+        stats = dict.fromkeys(("bias", "sd", "rmse", "se_mean", "size"))
+        if ok.any():
+            f_true = design.dgp.cdf(x) if design.v == 0 else design.dgp.cdf_deriv(x, design.v)
+            mean_f = float(np.mean(f_ok))
+            bias = mean_f - float(f_true)
+            sd = float(np.std(f_ok))  # ddof=0 so rmse^2 == bias^2 + sd^2 exactly
+            # centered t per the harness convention: measures pure normal
+            # approximation error, not bias
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = np.abs(f_ok - mean_f) / se_ok
+            stats = {"bias": bias, "sd": sd, "rmse": float(np.sqrt(bias**2 + sd**2)),
+                     "se_mean": float(np.mean(se_ok)), "size": float(np.mean(t >= _Z_5PCT))}
         rows.append({
             "x": x,
             "n": design.n,
             "p": design.p,
             "kernel": design.kernel,
             "bw_rule": str(design.bandwidth_rule),
-            "bias": bias,
-            "sd": sd,
-            "rmse": rmse,
-            "se_mean": float(np.mean(se_ok)),
-            "size": size,
+            **stats,
             "fail_rate": fail_rate,
             "valid": bool(fail_rate <= 0.01),
         })

@@ -9,6 +9,7 @@ estimated density.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,8 @@ from .sample import Sample, edf, edf_values
 _NEG_TOL = 1e-12
 #: elements per row block when filling Gamma-hat's EDF covariance matrix
 _BLOCK_ELEMENTS = 2**16
+#: per-thread grow-only buffer behind Gamma-hat's m x m matrix
+_workspace = threading.local()
 
 
 @dataclass(frozen=True)
@@ -43,13 +46,19 @@ def gamma_hat(sample: Sample, fit: LocalFit) -> np.ndarray:
 
     The m x m EDF covariance matrix is the one large array: 8 m^2 bytes
     for m in-window points (800 MB at m = 1e4), filled in place in row
-    blocks of about 2^16 elements.
+    blocks of about 2^16 elements. It lives in a per-thread workspace that
+    only grows, so each thread keeps 8 m^2 bytes for the largest window it
+    has seen; the peak is still one matrix, and the result never aliases it.
     """
     A = fit.R * fit.w[:, None]
     F = edf_values(sample, fit.xw)
     # xw sorted, EDF monotone, so EDF(min(x_j,x_k)) = min(F_j, F_k)
     m = len(F)
-    M = np.empty((m, m))
+    buf = getattr(_workspace, "buf", None)
+    if buf is None or buf.size < m * m:
+        buf = _workspace.buf = None  # free the old buffer before the new one
+        buf = _workspace.buf = np.empty(m * m)
+    M = buf[:m * m].reshape(m, m)
     rows = max(1, _BLOCK_ELEMENTS // m)
     for lo in range(0, m, rows):
         Fb = F[lo:lo + rows, None]

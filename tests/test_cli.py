@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -258,3 +259,29 @@ def test_simulate_uniform_true_bandwidth_is_zero_bias(tmp_path, capsys, rule):
     path.write_text(json.dumps({**design, "bandwidth_rule": "mse_estimated"}))
     assert main(["simulate", "--design", str(path)]) == 0
     assert len(json.loads(capsys.readouterr().out)) == 2
+
+
+def test_simulate_all_failed_point_is_strict_json(tmp_path, capsys):
+    # at x = 6 with n = 10 every replication's window is empty; the summary
+    # statistics are undefined there and must be null, not NaN
+    design = tmp_path / "empty.json"
+    design.write_text(json.dumps({
+        "dgp": "exponential", "eval_points": [6.0], "n": 10, "reps": 5,
+        "bandwidth_rule": {"multiple": 0.05},
+    }))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--design", str(design)]) == 0
+        json_text = capsys.readouterr().out
+        assert main(["simulate", "--design", str(design), "--format", "csv"]) == 0
+        csv_text = capsys.readouterr().out
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    (row,) = json.loads(json_text, parse_constant=reject)
+    assert [row[k] for k in ("bias", "sd", "rmse", "se_mean", "size")] == [None] * 5
+    assert row["fail_rate"] == 1.0 and row["valid"] is False
+    header, line = csv_text.splitlines()
+    cells = dict(zip(header.split(","), line.split(",")))
+    assert [cells[k] for k in ("bias", "sd", "rmse", "se_mean", "size")] == [""] * 5

@@ -196,3 +196,14 @@ def test_tmat_uniform_interior():
     # Tmat = int r r' K^2 = S/2 for the uniform kernel
     mom = moments("uniform", INTERIOR, 2)
     assert np.allclose(mom.Tmat, mom.S / 2.0, atol=1e-12)
+
+
+def test_cached_moments_are_read_only():
+    # the cached arrays are shared by every later call (and by run_design's
+    # threads), so an in-place edit must raise instead of poisoning the cache
+    mom = moments("triangular", INTERIOR, 2)
+    S = mom.S.copy()
+    for name in ("S", "c", "c_tilde", "Gamma", "Tmat"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(mom, name)[...] *= 2
+    assert np.array_equal(moments("triangular", INTERIOR, 2).S, S)

@@ -1,6 +1,8 @@
 """Variance estimators: triple-sum identity, jackknife oracle, plug-in."""
 
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -107,7 +109,7 @@ def large_samples():
     return {"raw": load_sample(raw), "heaped": load_sample(np.round(raw / 0.05) * 0.05)}
 
 
-@pytest.mark.parametrize("data", ["raw", "heaped"])
+@pytest.mark.parametrize("data", ["raw", "heaped", "heaped-after-larger"])
 @pytest.mark.parametrize("basis,h", [
     (BasisKind.STANDARD, 0.26),
     (BasisKind.UNRESTRICTED, 0.3),
@@ -117,9 +119,15 @@ def test_gamma_hat_bit_identical_to_dense_outer_form(large_samples, data, basis,
     # the row-block fill does the same per-element arithmetic as the dense
     # expression; compared in-process, since the GEMM bits depend on the
     # BLAS thread count
-    s = large_samples[data]
+    name, _, after_larger = data.partition("-")
+    s = large_samples[name]
     fit = fit_local(s, 0.1, h, 2, basis=basis)
     assert 2_000 <= fit.m_eff <= 3_000
+    if after_larger:
+        # the workspace is then larger than m x m, and M is a prefix view of it
+        larger = fit_local(s, 0.1, 0.5, 2)
+        assert larger.m_eff > fit.m_eff
+        gamma_hat(s, larger)
     A = fit.R * fit.w[:, None]
     F = edf_values(s, fit.xw)
     want = (A.T @ (np.minimum.outer(F, F) - np.outer(F, F)) @ A) / fit.n**2
@@ -127,14 +135,58 @@ def test_gamma_hat_bit_identical_to_dense_outer_form(large_samples, data, basis,
 
 
 def test_gamma_hat_peak_memory_is_one_matrix(large_samples):
+    # a fresh thread starts with an empty workspace, which grows twice: to a
+    # window almost as large, then to this one, freeing the old buffer first
     s = large_samples["raw"]
+    near = fit_local(s, 0.1, 0.38, 2)
     fit = fit_local(s, 0.1, 0.4, 2)
     m = fit.m_eff
-    assert m >= 3_000
+    assert m >= 3_000 and 0.9 * m < near.m_eff < m
+
+    def grow():
+        gamma_hat(s, near)
+        gamma_hat(s, fit)
+
     tracemalloc.start()
     try:
-        gamma_hat(s, fit)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pool.submit(grow).result()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 8 * m**2
+
+
+def test_gamma_hat_reuses_its_workspace(large_samples):
+    s = large_samples["raw"]
+    large = fit_local(s, 0.1, 0.4, 2)
+    small = fit_local(s, 0.1, 0.26, 2)
+    first = gamma_hat(s, large)
+    for fit in (large, small):
+        tracemalloc.start()
+        try:
+            G = gamma_hat(s, fit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * 8 * fit.m_eff**2
+        assert not np.shares_memory(G, first)
+    assert np.array_equal(gamma_hat(s, large), first)
+
+
+def test_gamma_hat_threads_keep_separate_workspaces(large_samples):
+    fits = {name: fit_local(s, 0.1, 0.3, 2) for name, s in large_samples.items()}
+    assert fits["raw"].m_eff != fits["heaped"].m_eff
+    serial = {name: gamma_hat(large_samples[name], fit) for name, fit in fits.items()}
+    start = threading.Barrier(2)
+
+    def call(name):
+        start.wait()
+        return gamma_hat(large_samples[name], fits[name])
+
+    for _ in range(3):
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            raw, heaped = pool.map(call, ["raw", "heaped"])
+        assert np.array_equal(raw, serial["raw"])
+        assert np.array_equal(heaped, serial["heaped"])
+        assert not np.shares_memory(raw, heaped)
