@@ -14,6 +14,7 @@ import json
 import os
 import re
 import sys
+from concurrent.futures import BrokenExecutor
 from dataclasses import replace
 
 from . import density as density_mod
@@ -150,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     # a string default goes through type=int only when simulate is parsed,
     # so a malformed LPDENS_THREADS is a usage error there and nowhere else
     sp.add_argument("--threads", type=int, default=os.environ.get("LPDENS_THREADS", "1"),
-                    help="worker threads (default: LPDENS_THREADS or 1); "
-                         "output is thread-count invariant")
+                    help="worker processes (default: LPDENS_THREADS or 1); "
+                         "output is worker-count invariant")
     sp.set_defaults(func=cmd_simulate)
     return parser
 
@@ -160,7 +161,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (LpDensError, OSError, ValueError, KeyError, MemoryError) as exc:
+    except (LpDensError, OSError, ValueError, KeyError, MemoryError, BrokenExecutor) as exc:
         return _fail(exc)
 
 

@@ -1,22 +1,24 @@
 """Monte Carlo harness: simulation designs, true-MSE bandwidths, summaries.
 
-Replications draw from counter-based RNG streams keyed by (seed, rep), so
-the same seed yields bit-identical tables for any degree of parallelism
-and any reduction schedule that preserves rep order.
+Replications run in forked worker processes, one contiguous range of reps
+each. They draw from counter-based RNG streams keyed by (seed, rep), so the
+same seed yields bit-identical tables for any number of workers and any
+reduction schedule that preserves rep order.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .bandwidth import closed_form_h, mse_bandwidth, mse_case
 from .errors import LpDensError
-from .kernels import BasisKind, classify_region, factorial, moments, selector
+from .kernels import KERNEL_FAMILIES, BasisKind, classify_region, factorial, moments, selector
 from .lpfit import derivative_estimate, fit_local
 from .sample import load_sample
 from .variance import standard_error
@@ -30,7 +32,11 @@ CSV_COLUMNS = SUMMARY_COLUMNS + ("fail_rate", "valid")
 
 @dataclass(frozen=True)
 class DGP:
-    """Data-generating process with closed-form CDF machinery."""
+    """Data-generating process with closed-form CDF machinery.
+
+    Pickles by name, since its closures do not: an unpickled DGP is the
+    built-in one that ``get_dgp`` returns for that name.
+    """
 
     name: str
     support: tuple
@@ -40,6 +46,9 @@ class DGP:
 
     def pdf(self, x):
         return self.cdf_deriv(x, 1)
+
+    def __reduce__(self):
+        return get_dgp, (self.name,)
 
 
 def _hermite_prob(x: float, m: int) -> float:
@@ -125,6 +134,18 @@ class SimDesign:
             raise ValueError("reps must be >= 1")
         if self.n < 10:
             raise ValueError("n must be >= 10")
+        if not self.eval_points:
+            raise ValueError("eval_points must be non-empty")
+        if self.kernel not in KERNEL_FAMILIES:
+            raise ValueError(f"unknown kernel {self.kernel!r}")
+        if not 0 <= self.v <= self.p:
+            raise ValueError(f"need 0 <= v <= p, got v={self.v}, p={self.p}")
+        rule = self.bandwidth_rule
+        if rule not in ("mse_true", "mse_estimated") and not (
+            isinstance(rule, (int, float)) and math.isfinite(rule) and rule > 0
+        ):
+            raise ValueError(f"bandwidth_rule must be 'mse_true', 'mse_estimated' "
+                             f"or a finite multiple > 0, got {rule!r}")
 
     @classmethod
     def from_dict(cls, spec: dict) -> "SimDesign":
@@ -207,15 +228,28 @@ def _run_one_rep(design: SimDesign, rep: int, h_fixed: dict):
     return out
 
 
+def _run_reps(design: SimDesign, h_fixed: dict, lo: int, hi: int) -> list:
+    return [_run_one_rep(design, rep, h_fixed) for rep in range(lo, hi)]
+
+
 def run_design(design: SimDesign, threads: int = 1) -> list[dict]:
     """Run all replications and summarize per evaluation point.
 
     Returns one row per evaluation point with columns
     (x, n, p, kernel, bw_rule, bias, sd, rmse, se_mean, size); a row with
     more than 1% failed replications is flagged invalid, and one where all
-    failed has None for bias through size. The thread pool
-    raises ``ValueError`` when ``threads`` is below 1.
+    failed has None for bias through size.
+
+    ``threads`` worker processes (at most ``reps``) each run one contiguous
+    range of reps. They are forked, so they inherit the true bandwidths and
+    the warm ``moments`` cache; the pool raises ``ValueError`` when
+    ``threads`` is below 1, and ``BrokenProcessPool`` when a worker dies.
+    Every worker is joined before this returns or raises.
     """
+    # imported here so that `import lpdens`, and so every CLI start, skips multiprocessing
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     h_fixed = {}
     if design.bandwidth_rule != "mse_estimated":
         mult = 1.0 if design.bandwidth_rule == "mse_true" else float(design.bandwidth_rule)
@@ -224,8 +258,12 @@ def run_design(design: SimDesign, threads: int = 1) -> list[dict]:
                 design.dgp, x, design.n, design.p, design.v, design.kernel
             )
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(lambda r: _run_one_rep(design, r, h_fixed), range(design.reps)))
+    # fork, not spawn: a spawned worker re-imports lpdens and starts cold
+    workers = min(threads, design.reps)
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        bounds = [design.reps * k // workers for k in range(workers + 1)]
+        chunks = pool.map(partial(_run_reps, design, h_fixed), bounds[:-1], bounds[1:])
+        results = [res for chunk in chunks for res in chunk]
 
     rows = []
     for x in design.eval_points:

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, machine-parsable failure reasons."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -117,6 +118,19 @@ def test_simulate_runs_and_is_deterministic(design_json, capsys):
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_simulate_dead_worker_is_tagged(design_json, monkeypatch, capsys):
+    def die(design, rep, h_fixed):
+        os._exit(1)
+
+    monkeypatch.setattr("lpdens.simulation._run_one_rep", die)
+    code = main(["simulate", "--design", design_json, "--threads", "2"])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err.splitlines() == ["error: broken-process-pool"]
+    assert multiprocessing.active_children() == []
 
 
 def test_simulate_zero_threads_is_a_value_error(design_json, capsys):

@@ -1,11 +1,19 @@
 """Monte Carlo harness: DGPs, seeding, true bandwidths, summaries."""
 
 import json
+import multiprocessing
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+import lpdens
+from lpdens import simulation
 from lpdens.errors import ZeroBias
 from lpdens.cli import render
 from lpdens.simulation import (
@@ -137,12 +145,49 @@ def test_run_design_summary_contract():
 
 
 def test_run_design_thread_invariance():
-    design = SimDesign(
-        dgp=get_dgp("truncated_normal"), eval_points=(0.5,), n=300, reps=16, seed=9
-    )
-    csv1 = render(run_design(design, threads=1), CSV_COLUMNS, "csv")
-    csv4 = render(run_design(design, threads=4), CSV_COLUMNS, "csv")
-    assert csv1 == csv4
+    # reps=3 with 5 workers: the pool is capped at one worker per rep
+    for reps, counts in ((16, (1, 4)), (3, (1, 2, 5))):
+        design = SimDesign(
+            dgp=get_dgp("truncated_normal"), eval_points=(0.5,), n=300, reps=reps, seed=9
+        )
+        csvs = {render(run_design(design, threads=t), CSV_COLUMNS, "csv") for t in counts}
+        assert len(csvs) == 1
+
+
+def test_run_design_leaves_no_worker_behind(monkeypatch):
+    design = SimDesign(dgp=get_dgp("exponential"), eval_points=(1.0,), n=300, reps=6, seed=3)
+    run_design(design, threads=2)
+    assert multiprocessing.active_children() == []
+
+    def bad_rep(design, rep, h_fixed):
+        raise ValueError(f"rep {rep}")
+
+    monkeypatch.setattr(simulation, "_run_one_rep", bad_rep)
+    with pytest.raises(ValueError, match="rep 0"):
+        run_design(design, threads=2)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("name", ["truncated_normal", "exponential", "uniform01"])
+def test_dgp_pickles_by_name(name):
+    dgp = get_dgp(name)
+    back = pickle.loads(pickle.dumps(dgp))
+    assert back.name == name and back.support == dgp.support
+    u = np.linspace(0.01, 0.99, 25)
+    x = dgp.icdf(u)
+    assert np.array_equal(back.icdf(u), x)
+    assert np.array_equal(back.cdf(x), dgp.cdf(x))
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # run_design imports the process pool when it runs; at import time
+    # multiprocessing would add to every cold start
+    src = str(Path(lpdens.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, lpdens; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "False"
 
 
 def test_design_validation():
@@ -150,6 +195,25 @@ def test_design_validation():
         SimDesign(dgp=get_dgp("exponential"), eval_points=(1.0,), n=400, reps=0)
     with pytest.raises(ValueError):
         SimDesign(dgp=get_dgp("exponential"), eval_points=(1.0,), n=5, reps=10)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("kernel", "gaussian"),
+    ("v", 3),
+    ("v", -1),
+    ("eval_points", ()),
+    ("bandwidth_rule", "mse"),
+    ("bandwidth_rule", -1.0),
+    ("bandwidth_rule", 0.0),
+    ("bandwidth_rule", float("nan")),
+    ("bandwidth_rule", float("inf")),
+], ids=["kernel", "v-above-p", "v-negative", "no-eval-points", "rule-name",
+        "multiple-negative", "multiple-zero", "multiple-nan", "multiple-inf"])
+def test_design_rejects_bad_fields(field, value):
+    # rejected when the design is built, before any replication runs
+    spec = dict(dgp=get_dgp("exponential"), eval_points=(1.0,), n=400, reps=4, p=2)
+    with pytest.raises(ValueError):
+        SimDesign(**{**spec, field: value})
 
 
 def test_design_file_roundtrip(tmp_path):
