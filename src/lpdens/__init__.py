@@ -18,10 +18,9 @@ from .kernels import BasisKind, EvalRegion, classify_region, moments
 from .lpfit import LocalFit, derivative_estimate, fit_local
 from .maniptest import (
     ManipulationTestResult,
+    cutoff_test,
     diff_mse_bandwidth,
     rbc_test,
-    test_restricted,
-    test_unrestricted,
 )
 from .sample import Sample, edf, load_csv, load_sample, split_at_cutoff
 from .simulation import SimDesign, get_dgp, run_design, true_mse_bandwidth
@@ -50,6 +49,7 @@ __all__ = [
     "VarianceEstimate",
     "classify_region",
     "closed_form_h",
+    "cutoff_test",
     "default_grid",
     "derivative_estimate",
     "diff_mse_bandwidth",
@@ -71,7 +71,5 @@ __all__ = [
     "run_design",
     "split_at_cutoff",
     "standard_error",
-    "test_restricted",
-    "test_unrestricted",
     "true_mse_bandwidth",
 ]

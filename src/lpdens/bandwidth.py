@@ -39,13 +39,17 @@ class BandwidthSelection:
     variance_constant: float
 
 
-def preliminary_bandwidth(sample: Sample) -> float:
-    """Normal-reference pilot: 1.06 sd n^(-1/5), capped at half the range."""
+def _normal_reference(sample: Sample, p: int) -> float:
+    """Normal-reference rule 1.06 sd n^(-1/(2p+5)), capped at half the range."""
     sd = float(np.std(sample.values, ddof=1))
     if sd <= 0:
         raise ZeroVariance("sample standard deviation is zero")
-    ell = 1.06 * sd * sample.n ** (-0.2)
-    return min(ell, sample.span / 2.0)
+    return min(1.06 * sd * sample.n ** (-1.0 / (2 * p + 5)), sample.span / 2.0)
+
+
+def preliminary_bandwidth(sample: Sample) -> float:
+    """Normal-reference pilot: 1.06 sd n^(-1/5), capped at half the range."""
+    return _normal_reference(sample, 0)
 
 
 def estimate_bias_constants(sample: Sample, fit: LocalFit) -> BiasConstants:
@@ -69,9 +73,7 @@ def estimate_bias_constants(sample: Sample, fit: LocalFit) -> BiasConstants:
     Sinv_c = np.linalg.solve(fit.S_hat, c_hat)
     Sinv_ct = np.linalg.solve(fit.S_hat, ct_hat)
 
-    sd = float(np.std(sample.values, ddof=1))
-    ell_deriv = 1.06 * sd * n ** (-1.0 / (2 * p + 5))
-    ell_deriv = max(ell, min(ell_deriv, sample.span / 2.0))
+    ell_deriv = max(ell, _normal_reference(sample, p))
     pilot = fit_local(sample, fit.x, ell_deriv, p + 2, fit.kernel)
     return BiasConstants(
         Sinv_c=Sinv_c,
@@ -81,14 +83,14 @@ def estimate_bias_constants(sample: Sample, fit: LocalFit) -> BiasConstants:
     )
 
 
-def _golden_section(objective, lo: float, hi: float, max_iter: int = 200, rtol: float = 1e-8):
-    """Golden-section minimizer on log h."""
+def _golden_section(objective, lo: float, hi: float):
+    """Golden-section minimizer on log h: at most 200 steps, to a log-width of 1e-8."""
     a, b = np.log(lo), np.log(hi)
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = objective(np.exp(c)), objective(np.exp(d))
-    for _ in range(max_iter):
+    for _ in range(200):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -97,7 +99,7 @@ def _golden_section(objective, lo: float, hi: float, max_iter: int = 200, rtol: 
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = objective(np.exp(d))
-        if b - a < rtol:
+        if b - a < 1e-8:
             break
     return float(np.exp((a + b) / 2.0))
 
@@ -144,8 +146,8 @@ def mse_bandwidth(
     # v = 0: empirical MSE with the quadratic-variance term restoring the
     # trade-off; minimized numerically on log h
     Ftil = edf(sample, x)
-    f_hat = derivative_estimate(fit, 1) if p >= 1 else max(Ftil, 1e-3)
-    f_hat = max(f_hat, 1e-12)
+    # at p = 0 the fit has no density coefficient: use the order-2 pilot's F'
+    f_hat = max(derivative_estimate(fit, 1) if p >= 1 else bc.F_p1, 1e-12)
     mom = moments(kernel, fit.region, p)
     z = np.linalg.solve(mom.S, selector(p, BasisKind.STANDARD, 0))
     V2 = 2.0 * f_hat * Ftil * (1.0 - Ftil) * float(z @ mom.Tmat @ z)

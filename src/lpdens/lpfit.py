@@ -54,10 +54,6 @@ class LocalFit:
     Y: np.ndarray  # pooled EDF values at xw
     fitted: np.ndarray  # R @ beta_scaled
 
-    @property
-    def d(self) -> int:
-        return basis_dim(self.p, self.basis)
-
     def solve_S(self, rhs: np.ndarray) -> np.ndarray:
         """S_hat^{-1} rhs via the cached factorization."""
         return scipy.linalg.cho_solve(self.S_chol, rhs)

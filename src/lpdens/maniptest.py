@@ -3,8 +3,8 @@
 Supports the joint unrestricted model (all derivatives may jump), the
 restricted model (only the density jumps), and separate-sample estimation
 with side-specific bandwidths. Inference uses the automatic variance
-machinery; robust bias correction runs the statistic one polynomial order
-above the bandwidth target.
+machinery. The conventional ``cutoff_test`` runs the statistic at the
+bandwidth's order p; the robust bias-corrected ``rbc_test`` runs it at p + 1.
 """
 
 from __future__ import annotations
@@ -68,14 +68,12 @@ def _two_sided_p(T: float) -> float:
     return float(2.0 * ndtr(-abs(T)))
 
 
-def _clamp_h(h: float, cutoff: float, side: Sample) -> float:
+def _clamp_h(h: float, side: Sample) -> float:
     # keep the window inside the side's support so the fit region stays a
-    # plain boundary region rather than a doubly truncated one
-    limits = [cutoff - side.support_lower, side.support_upper - cutoff]
-    limits = [lim for lim in limits if np.isfinite(lim) and lim > 0]
-    if not limits:
-        return float(h)
-    return float(min(h, 0.95 * max(limits)))
+    # plain boundary region rather than a doubly truncated one; a side whose
+    # support has no finite positive range is left as it is
+    rng = side.support_range
+    return float(min(h, 0.95 * rng)) if np.isfinite(rng) and rng > 0 else float(h)
 
 
 def _side_constants(side: Sample, cutoff: float, p: int, kernel: str) -> tuple[float, float]:
@@ -110,13 +108,13 @@ def diff_mse_bandwidth(sample: Sample, cutoff: float, p: int, kernel: str = "tri
     B_p, V_p = _side_constants(right, cutoff, p, kernel)
     B_diff = (n_plus / n) * B_p - (n_minus / n) * B_m
     V_diff = (n_plus / n) * V_p + (n_minus / n) * V_m
-    h_minus = _clamp_h(closed_form_h(V_m, B_m, n_minus, p, 1), cutoff, left)
-    h_plus = _clamp_h(closed_form_h(V_p, B_p, n_plus, p, 1), cutoff, right)
+    h_minus = _clamp_h(closed_form_h(V_m, B_m, n_minus, p, 1), left)
+    h_plus = _clamp_h(closed_form_h(V_p, B_p, n_plus, p, 1), right)
     try:
         h_common = closed_form_h(V_diff, B_diff, n, p, 1)
     except ZeroBias:
         h_common = min(h_minus, h_plus)
-    h_common = _clamp_h(_clamp_h(h_common, cutoff, left), cutoff, right)
+    h_common = _clamp_h(_clamp_h(h_common, left), right)
     if not h_common > 0:
         raise NonPositiveVariance(
             f"variance constant {V_diff:.3e} gives common bandwidth {h_common}"
@@ -130,17 +128,31 @@ def diff_mse_bandwidth(sample: Sample, cutoff: float, p: int, kernel: str = "tri
     )
 
 
-def _cutoff_test(sample, cutoff, p, kernel, model, h_minus, h_plus, warnings=()):
-    """Studentized density jump at the cutoff, at order p, in one cutoff model.
+def cutoff_test(
+    sample: Sample,
+    cutoff: float,
+    p: int = 2,
+    kernel: str = "triangular",
+    model: str = "unrestricted",
+    h_minus: float | None = None,
+    h_plus: float | None = None,
+) -> ManipulationTestResult:
+    """Conventional test of density continuity at the cutoff: the studentized jump at order p.
 
-    A common bandwidth in the unrestricted or restricted model fits the
-    pooled EDF in that model's split basis; f_minus/f_plus are the joint
-    one-sided density estimates. The separate model, and any pair of
-    distinct bandwidths, fits each side's own EDF; f_minus/f_plus are then
-    conditional density estimates entering T with weights n_minus/n and
-    n_plus/n. A standard error that is not positive raises
-    :class:`NonPositiveVariance`.
+    A missing bandwidth is the MSE-optimal common one. A common bandwidth
+    in the unrestricted or restricted model fits the pooled EDF in that
+    model's split basis; f_minus/f_plus are the joint one-sided density
+    estimates. The separate model, and any pair of distinct bandwidths,
+    fits each side's own EDF; f_minus/f_plus are then conditional density
+    estimates entering T with weights n_minus/n and n_plus/n. A standard
+    error that is not positive raises :class:`NonPositiveVariance`.
     """
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
+    if h_minus is None or h_plus is None:
+        h_common = diff_mse_bandwidth(sample, cutoff, p, kernel).h_common
+        h_minus = h_common if h_minus is None else h_minus
+        h_plus = h_common if h_plus is None else h_plus
     left, right, n_minus, n_plus = split_at_cutoff(sample, cutoff)
     if model == "separate" or h_minus != h_plus:
         model, n = "separate", sample.n
@@ -179,41 +191,7 @@ def _cutoff_test(sample, cutoff, p, kernel, model, h_minus, h_plus, warnings=())
         se_diff=se,
         T=T,
         p_value=_two_sided_p(T),
-        warnings=tuple(warnings),
     )
-
-
-def test_unrestricted(
-    sample: Sample,
-    cutoff: float,
-    p: int = 2,
-    kernel: str = "triangular",
-    h_minus: float | None = None,
-    h_plus: float | None = None,
-) -> ManipulationTestResult:
-    """Unrestricted-model test of density continuity at the cutoff.
-
-    A missing bandwidth is the MSE-optimal common one. Distinct bandwidths
-    route to the separate-sample formula (see ``_cutoff_test``).
-    """
-    if h_minus is None or h_plus is None:
-        bw = diff_mse_bandwidth(sample, cutoff, p, kernel)
-        h_minus = h_minus if h_minus is not None else bw.h_common
-        h_plus = h_plus if h_plus is not None else bw.h_common
-    return _cutoff_test(sample, cutoff, p, kernel, "unrestricted", h_minus, h_plus)
-
-
-def test_restricted(
-    sample: Sample,
-    cutoff: float,
-    p: int = 2,
-    kernel: str = "triangular",
-    h: float | None = None,
-) -> ManipulationTestResult:
-    """Restricted-model test: only the density may jump at the cutoff."""
-    if h is None:
-        h = diff_mse_bandwidth(sample, cutoff, p, kernel).h_common
-    return _cutoff_test(sample, cutoff, p, kernel, "restricted", h, h)
 
 
 def rbc_test(
@@ -223,16 +201,17 @@ def rbc_test(
     kernel: str = "triangular",
     model: str = "unrestricted",
 ) -> ManipulationTestResult:
-    """Robust bias-corrected test: bandwidth tuned for order p, statistic at p+1."""
+    """Robust bias-corrected test: bandwidth tuned for order p, :func:`cutoff_test` at p+1.
+
+    A typed bandwidth failure falls back to the preliminary bandwidth, named in ``warnings``.
+    """
     if p < 1:
         raise ValueError(f"p must be at least 1 for the density jump, got {p}")
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
-    warnings = []
+    warnings = ()
     try:
         h = diff_mse_bandwidth(sample, cutoff, p, kernel).h_common
     except LpDensError as exc:
         h = preliminary_bandwidth(sample)
-        warnings.append(f"bandwidth-fallback-preliminary:{type(exc).__name__}")
-    result = _cutoff_test(sample, cutoff, p + 1, kernel, model, h, h, warnings)
-    return replace(result, p_point=p)
+        warnings = (f"bandwidth-fallback-preliminary:{type(exc).__name__}",)
+    result = cutoff_test(sample, cutoff, p + 1, kernel, model, h, h)
+    return replace(result, p_point=p, warnings=warnings)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from functools import partial
 
@@ -65,7 +66,8 @@ def _std_normal_pdf(x):
     return np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi)
 
 
-def _truncated_normal(lower: float = -0.8) -> DGP:
+def _truncated_normal() -> DGP:
+    lower = -0.8
     z = 1.0 - ndtr(lower)
     phi_lo = ndtr(lower)
 
@@ -240,9 +242,9 @@ def run_design(design: SimDesign, threads: int = 1) -> list[dict]:
     more than 1% failed replications is flagged invalid, and one where all
     failed has None for bias through size.
 
-    ``threads`` worker processes (at most ``reps``) each run one contiguous
-    range of reps. They are forked, so they inherit the true bandwidths and
-    the warm ``moments`` cache; the pool raises ``ValueError`` when
+    ``threads`` worker processes (at most ``reps`` and the CPU count) each
+    run one contiguous range of reps. They are forked, so they inherit the
+    true bandwidths and the warm ``moments`` cache; the pool raises ``ValueError`` when
     ``threads`` is below 1, and ``BrokenProcessPool`` when a worker dies.
     Every worker is joined before this returns or raises.
     """
@@ -259,7 +261,7 @@ def run_design(design: SimDesign, threads: int = 1) -> list[dict]:
             )
 
     # fork, not spawn: a spawned worker re-imports lpdens and starts cold
-    workers = min(threads, design.reps)
+    workers = min(threads, design.reps, os.cpu_count() or 1)
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
         bounds = [design.reps * k // workers for k in range(workers + 1)]
         chunks = pool.map(partial(_run_reps, design, h_fixed), bounds[:-1], bounds[1:])

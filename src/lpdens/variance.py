@@ -123,7 +123,7 @@ def jackknife_gamma(sample: Sample, fit: LocalFit) -> np.ndarray:
     sumGpred = G.T @ pred
 
     # suffix sums over the sorted window: sum_{j: x_j >= t} g_j
-    suffix = np.zeros((len(fit.xw) + 1, fit.d))
+    suffix = np.zeros((len(fit.xw) + 1, G.shape[1]))
     suffix[:-1] = np.cumsum(G[::-1], axis=0)[::-1]
 
     pos = np.searchsorted(fit.xw, values, side="left")

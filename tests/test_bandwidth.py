@@ -11,6 +11,7 @@ from lpdens.bandwidth import (
 )
 from lpdens import bandwidth, maniptest
 from lpdens.errors import ZeroBias, ZeroVariance
+from lpdens.kernels import moments
 from lpdens.lpfit import fit_local
 from lpdens.sample import load_sample
 
@@ -110,6 +111,22 @@ def test_mse_bandwidth_cdf_cases():
     assert sel.case_tag == "cdf_interior" and sel.h > 0
     sel_b = mse_bandwidth(s, 0.0, 2, 0)
     assert sel_b.case_tag == "cdf_boundary_empirical" and sel_b.h > 0
+
+
+@pytest.mark.parametrize("x", [0.5, 2.0])
+def test_mse_bandwidth_cdf_order_zero_uses_pilot_density(x):
+    # at p = 0 the fit has no density coefficient; the interior variance
+    # constant f z'Gamma z must take f from the order-2 pilot, not F(x)
+    rng = np.random.default_rng(0)
+    s = load_sample(rng.exponential(size=2000), support=(0.0, np.inf))
+    sel = mse_bandwidth(s, x, 0, 0)
+    assert sel.case_tag == "cdf_interior"
+    fit = fit_local(s, x, preliminary_bandwidth(s), 0)
+    mom = moments("triangular", fit.region, 0)
+    z = np.linalg.solve(mom.S, np.ones(1))
+    f_used = sel.variance_constant / float(z @ mom.Gamma @ z)
+    assert f_used == pytest.approx(estimate_bias_constants(s, fit).F_p1, rel=1e-12)
+    assert f_used == pytest.approx(np.exp(-x), rel=0.15)
 
 
 def test_mse_bandwidth_rate_in_n():

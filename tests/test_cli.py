@@ -97,6 +97,18 @@ def test_test_restricted_dispatch(data_csv, capsys):
     assert res["model"] == "restricted"
 
 
+def test_test_bandwidth_fallback_prints_warning(tmp_path, capsys):
+    # N(0,1) rounded to 0.1: the MSE bandwidth's pilot fit is singular at
+    # this cutoff, so the test runs at the preliminary bandwidth and says so
+    path = tmp_path / "rounded.csv"
+    np.savetxt(path, np.round(np.random.default_rng(0).normal(size=800), 1), fmt="%.1f")
+    code = main(["test", "--input", str(path), "--cutoff", "0.05", "--model", "restricted"])
+    out = capsys.readouterr()
+    assert code == 0
+    assert json.loads(out.out)["warnings"] == ["bandwidth-fallback-preliminary:SingularDesign"]
+    assert out.err.splitlines() == ["warning: bandwidth-fallback-preliminary:SingularDesign"]
+
+
 def test_test_order_zero_is_a_value_error(data_csv, capsys):
     code = main(["test", "--input", data_csv, "--cutoff", "1.0", "--p", "0"])
     assert code == 1
@@ -118,6 +130,17 @@ def test_simulate_runs_and_is_deterministic(design_json, capsys):
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_simulate_seed_overrides_design(design_json, tmp_path, capsys):
+    reseeded = tmp_path / "seed7.json"
+    reseeded.write_text(json.dumps({**json.loads(Path(design_json).read_text()), "seed": 7}))
+    assert main(["simulate", "--design", str(reseeded)]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["simulate", "--design", design_json, "--seed", "7"]) == 0
+    assert capsys.readouterr().out == from_file
+    assert main(["simulate", "--design", design_json]) == 0
+    assert capsys.readouterr().out != from_file
 
 
 def test_simulate_dead_worker_is_tagged(design_json, monkeypatch, capsys):

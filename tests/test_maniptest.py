@@ -6,9 +6,7 @@ import pytest
 from lpdens.errors import EmptySide, LpDensError, NonPositiveVariance
 from lpdens.kernels import BasisKind
 from lpdens.lpfit import derivative_estimate, fit_local
-from lpdens.maniptest import MODELS, _cutoff_test, diff_mse_bandwidth, rbc_test
-from lpdens.maniptest import test_restricted as restricted_test
-from lpdens.maniptest import test_unrestricted as unrestricted_test
+from lpdens.maniptest import MODELS, cutoff_test, diff_mse_bandwidth, rbc_test
 from lpdens.sample import load_sample, split_at_cutoff
 
 
@@ -41,7 +39,7 @@ def test_joint_separate_identities(normal_sample):
 
 
 def test_unrestricted_joint_result_shape(normal_sample):
-    res = unrestricted_test(normal_sample, 0.0, p=2, h_minus=0.7, h_plus=0.7)
+    res = cutoff_test(normal_sample, 0.0, p=2, h_minus=0.7, h_plus=0.7)
     assert res.model == "unrestricted"
     assert res.h_minus == res.h_plus == 0.7
     assert res.n_minus + res.n_plus == normal_sample.n
@@ -56,7 +54,7 @@ def test_unrestricted_joint_result_shape(normal_sample):
 
 
 def test_unrestricted_distinct_bandwidths_use_separate(normal_sample):
-    res = unrestricted_test(normal_sample, 0.0, p=2, h_minus=0.6, h_plus=0.8)
+    res = cutoff_test(normal_sample, 0.0, p=2, h_minus=0.6, h_plus=0.8)
     assert res.model == "separate"
     assert res.h_minus == 0.6 and res.h_plus == 0.8
 
@@ -65,8 +63,8 @@ def test_joint_and_separate_T_agree_under_common_h(normal_sample):
     """Numerators are identical; the studentized forms agree asymptotically."""
     s = normal_sample
     h = 0.8
-    joint = unrestricted_test(s, 0.1, p=2, h_minus=h, h_plus=h)
-    sep = _cutoff_test(s, 0.1, 2, "triangular", "separate", h, h)
+    joint = cutoff_test(s, 0.1, p=2, h_minus=h, h_plus=h)
+    sep = cutoff_test(s, 0.1, 2, "triangular", "separate", h, h)
     num_joint = joint.f_plus - joint.f_minus
     num_sep = (sep.n_plus / s.n) * sep.f_plus - (sep.n_minus / s.n) * sep.f_minus
     # exact identity for the jump estimate
@@ -76,7 +74,7 @@ def test_joint_and_separate_T_agree_under_common_h(normal_sample):
 
 
 def test_restricted_model(normal_sample):
-    res = restricted_test(normal_sample, 0.0, p=2, h=0.7)
+    res = cutoff_test(normal_sample, 0.0, p=2, model="restricted", h_minus=0.7, h_plus=0.7)
     assert res.model == "restricted"
     assert res.se_diff > 0
     assert 0.0 <= res.p_value <= 1.0
@@ -84,8 +82,25 @@ def test_restricted_model(normal_sample):
 
 def test_restricted_no_jump_when_density_continuous(normal_sample):
     # standard normal has no jump at 0; the restricted T should be moderate
-    res = restricted_test(normal_sample, 0.0, p=2, h=0.8)
+    res = cutoff_test(normal_sample, 0.0, p=2, model="restricted", h_minus=0.8, h_plus=0.8)
     assert abs(res.T) < 4.0
+
+
+@pytest.mark.parametrize("model", ["unrestricted", "restricted"])
+def test_cutoff_test_default_bandwidth_is_common_mse(normal_sample, model):
+    h = diff_mse_bandwidth(normal_sample, 0.0, 2).h_common
+    res = cutoff_test(normal_sample, 0.0, model=model)
+    assert res.model == model
+    assert res.h_minus == res.h_plus == h
+    assert res == cutoff_test(normal_sample, 0.0, model=model, h_minus=h, h_plus=h)
+    # one missing side takes the common bandwidth; distinct ones go separate
+    one = cutoff_test(normal_sample, 0.0, model=model, h_plus=0.6)
+    assert one.model == "separate" and one.h_minus == h and one.h_plus == 0.6
+
+
+def test_cutoff_test_rejects_unknown_model(normal_sample):
+    with pytest.raises(ValueError, match="unknown model"):
+        cutoff_test(normal_sample, 0.0, model="two-sided", h_minus=0.5, h_plus=0.5)
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -100,6 +115,16 @@ def test_diff_mse_bandwidth_positive(normal_sample):
     bw = diff_mse_bandwidth(normal_sample, 0.0, 2)
     assert bw.h_common > 0 and bw.h_minus > 0 and bw.h_plus > 0
     assert bw.variance_diff > 0
+
+
+def test_diff_bandwidth_zero_bias_falls_back_to_smaller_side():
+    # a mirror-symmetric sample cancels the difference bias, so the closed
+    # form raises ZeroBias and the common bandwidth is the smaller side's
+    d = np.abs(np.random.default_rng(1).normal(size=2000)) + 1e-3
+    s = load_sample(np.concatenate([-d, d]))
+    bw = diff_mse_bandwidth(s, 0.0, 2)
+    assert abs(bw.bias_diff) < 1e-12
+    assert bw.h_common == min(bw.h_minus, bw.h_plus)
 
 
 def test_diff_bandwidth_clamped_inside_support():
@@ -143,7 +168,7 @@ def test_zero_standard_error_is_typed(normal_sample, monkeypatch, model):
 
 def test_cutoff_outside_data(normal_sample):
     with pytest.raises(EmptySide):
-        unrestricted_test(normal_sample, 99.0, h_minus=0.5, h_plus=0.5)
+        cutoff_test(normal_sample, 99.0, h_minus=0.5, h_plus=0.5)
 
 
 def test_power_against_actual_jump():

@@ -99,6 +99,28 @@ def test_true_mse_bandwidth_interior_matches_direct_formula():
     assert h == pytest.approx(closed_form_h(V, B, n, p, v), rel=1e-9)
 
 
+def test_true_mse_bandwidth_second_order_matches_direct_formula():
+    # exponential, p=3, v=1 at x=2 is interior with p-v even: the first-order
+    # bias vanishes, case (b) uses the second-order bias constant
+    from lpdens.bandwidth import closed_form_h
+    from lpdens.kernels import classify_region, moments
+
+    dgp = get_dgp("exponential")
+    n, p, v = 2000, 3, 1
+    h = true_mse_bandwidth(dgp, 2.0, n, p, v)
+    region = classify_region(2.0, h, 0.0, np.inf)
+    assert region.is_interior
+    mom = moments("triangular", region, p)
+    e = np.zeros(p + 1)
+    e[v] = 1.0
+    z = np.linalg.solve(mom.S, e)
+    f = dgp.pdf(2.0)
+    V = f * float(z @ mom.Gamma @ z)
+    B = (dgp.cdf_deriv(2.0, 5) / 120.0
+         + dgp.cdf_deriv(2.0, 4) / 24.0 * dgp.cdf_deriv(2.0, 2) / f) * float(z @ mom.c_tilde)
+    assert h == pytest.approx(closed_form_h(V, B, n, p, v, 2), rel=1e-9)
+
+
 def test_true_mse_bandwidth_boundary_fixed_point():
     dgp = get_dgp("exponential")
     h = true_mse_bandwidth(dgp, 0.0, 2000)
@@ -152,6 +174,35 @@ def test_run_design_thread_invariance():
         )
         csvs = {render(run_design(design, threads=t), CSV_COLUMNS, "csv") for t in counts}
         assert len(csvs) == 1
+
+
+@pytest.mark.parametrize("threads, reps, cpus, expect", [
+    (5000, 5000, 4, 4), (5, 3, 8, 3), (2, 10, 8, 2), (3, 10, None, 1),
+])
+def test_run_design_caps_workers(monkeypatch, threads, reps, cpus, expect):
+    # the fork pool starts every worker up front: at most one per rep and per CPU
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, mp_context=None):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(simulation, "_run_one_rep", lambda design, rep, h_fixed: {1.0: (1.0, 0.1)})
+    design = SimDesign(dgp=get_dgp("exponential"), eval_points=(1.0,), n=300, reps=reps, seed=3)
+    (row,) = run_design(design, threads=threads)
+    assert seen == [expect]
+    assert row["valid"] is True
 
 
 def test_run_design_leaves_no_worker_behind(monkeypatch):
