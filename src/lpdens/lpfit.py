@@ -25,12 +25,15 @@ from .kernels import (
     kernel_value,
     selector_index,
 )
-from .sample import Sample, edf_values
+from .sample import Sample
 
 
 @dataclass(frozen=True)
 class LocalFit:
-    """One weighted local polynomial fit and the pieces reused downstream."""
+    """One weighted local polynomial fit and the pieces reused downstream.
+
+    ``sample.F[window]`` is the EDF at ``xw``; ``Rw`` is ``R * w[:, None]``.
+    """
 
     x: float
     h: float
@@ -47,12 +50,12 @@ class LocalFit:
     m_eff_minus: int
     m_eff_plus: int
     # in-window arrays (sorted ascending), reused by the variance estimators
+    window: slice  # sample.values[window] is xw
     xw: np.ndarray
     u: np.ndarray  # (xw - x)/h
     w: np.ndarray  # K_h(xw - x)
     R: np.ndarray  # scaled basis rows r_p(u)
-    Y: np.ndarray  # pooled EDF values at xw
-    fitted: np.ndarray  # R @ beta_scaled
+    Rw: np.ndarray  # R * w[:, None]
 
     def solve_S(self, rhs: np.ndarray) -> np.ndarray:
         """S_hat^{-1} rhs via the cached factorization."""
@@ -68,11 +71,11 @@ def fit_local(
     basis: BasisKind = BasisKind.STANDARD,
     response: np.ndarray | None = None,
 ) -> LocalFit:
-    """Fit the kernel-weighted local polynomial to EDF values around x.
+    """Fit the kernel-weighted local polynomial to the EDF ``sample.F`` around x.
 
     ``response``, when given, must align with the sorted sample values and
-    replaces the pooled EDF as the regressand (used by diagnostics and the
-    polynomial-reproduction checks).
+    replaces the EDF as the regressand (used by the polynomial-reproduction
+    checks).
 
     Only observations with ``|x_i - x| <= h`` enter. Raises
     :class:`InsufficientData` when the window holds fewer points than the
@@ -83,10 +86,10 @@ def fit_local(
         raise ValueError("bandwidth must be positive")
     region = classify_region(x, h, sample.support_lower, sample.support_upper)
 
-    values = sample.values
-    lo = int(np.searchsorted(values, x - h, side="left"))
-    hi = int(np.searchsorted(values, x + h, side="right"))
-    xw = values[lo:hi]
+    lo = int(np.searchsorted(sample.values, x - h, side="left"))
+    hi = int(np.searchsorted(sample.values, x + h, side="right"))
+    window = slice(lo, hi)
+    xw = sample.values[window]
     m_eff = hi - lo
     m_minus = int(np.searchsorted(xw, x, side="left"))
     m_plus = m_eff - m_minus
@@ -105,10 +108,7 @@ def fit_local(
     u = (xw - x) / h
     w = kernel_value(kernel, u) / h
     R = basis_matrix(u, p, basis)
-    if response is None:
-        Y = edf_values(sample, xw)
-    else:
-        Y = np.asarray(response, dtype=float)[lo:hi]
+    Y = sample.F[window] if response is None else np.asarray(response, dtype=float)[window]
 
     n = sample.n
     Rw = R * w[:, None]
@@ -136,12 +136,12 @@ def fit_local(
         m_eff=m_eff,
         m_eff_minus=m_minus,
         m_eff_plus=m_plus,
+        window=window,
         xw=xw,
         u=u,
         w=w,
         R=R,
-        Y=Y,
-        fitted=R @ beta_scaled,
+        Rw=Rw,
     )
 
 

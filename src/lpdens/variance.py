@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NegativeDensity, NonPositiveVariance
 from .kernels import BasisKind, factorial, moments, selector
 from .lpfit import LocalFit, derivative_estimate, fit_local
-from .sample import Sample, edf, edf_values
+from .sample import Sample
 
 _NEG_TOL = 1e-12
 #: elements per row block when filling Gamma-hat's EDF covariance matrix
@@ -50,8 +50,8 @@ def gamma_hat(sample: Sample, fit: LocalFit) -> np.ndarray:
     only grows, so each thread keeps 8 m^2 bytes for the largest window it
     has seen; the peak is still one matrix, and the result never aliases it.
     """
-    A = fit.R * fit.w[:, None]
-    F = edf_values(sample, fit.xw)
+    A = fit.Rw
+    F = sample.F[fit.window]
     # xw sorted, EDF monotone, so EDF(min(x_j,x_k)) = min(F_j, F_k)
     m = len(F)
     buf = getattr(_workspace, "buf", None)
@@ -116,25 +116,20 @@ def jackknife_gamma(sample: Sample, fit: LocalFit) -> np.ndarray:
 
     O(n m) via suffix sums of the weighted basis rows over the window.
     """
-    n = fit.n
-    values = sample.values
-    G = fit.R * fit.w[:, None]  # g_j = r_j K_h(x_j - x), in-window rows
-    pred = fit.fitted
-    sumGpred = G.T @ pred
+    n, win = fit.n, fit.window
+    G = fit.Rw  # g_j = r_j K_h(x_j - x), in-window rows
+    pred = fit.R @ fit.beta_scaled
 
     # suffix sums over the sorted window: sum_{j: x_j >= t} g_j
     suffix = np.zeros((len(fit.xw) + 1, G.shape[1]))
     suffix[:-1] = np.cumsum(G[::-1], axis=0)[::-1]
 
-    pos = np.searchsorted(fit.xw, values, side="left")
-    abar = suffix[pos] - sumGpred  # sum_{j in win} g_j (1[x_i <= x_j] - pred_j)
+    pos = np.searchsorted(fit.xw, sample.values, side="left")
+    abar = suffix[pos] - G.T @ pred  # sum_{j in win} g_j (1[x_i <= x_j] - pred_j)
 
     # window members: remove the j=i term and add the fixed-i side term
-    lo = int(np.searchsorted(values, fit.x - fit.h, side="left"))
-    win = slice(lo, lo + len(fit.xw))
-    Fw = edf_values(sample, fit.xw)
     abar[win] -= G * (1.0 - pred)[:, None]
-    abar[win] += G * (n * Fw - 1.0 - (n - 1) * pred)[:, None]
+    abar[win] += G * (n * sample.F[win] - 1.0 - (n - 1) * pred)[:, None]
     abar /= n - 1
 
     ubar = abar.mean(axis=0)

@@ -39,7 +39,7 @@ def jackknife_pairwise(sample, fit):
     g = np.zeros((n, d))
     pred = np.zeros(n)
     g[lo:lo + len(fit.xw)] = fit.R * fit.w[:, None]
-    pred[lo:lo + len(fit.xw)] = fit.fitted
+    pred[lo:lo + len(fit.xw)] = fit.R @ fit.beta_scaled
     abar = np.zeros((n, d))
     for i in range(n):
         acc = np.zeros(d)
@@ -54,8 +54,8 @@ def jackknife_pairwise(sample, fit):
 
 
 def wls_beta(sample, fit, y=None):
-    """Dense weighted least squares via lstsq on sqrt-weighted rows."""
-    y = fit.Y if y is None else y
+    """Dense weighted least squares via lstsq on sqrt-weighted rows; y defaults to the EDF."""
+    y = edf_values(sample, fit.xw) if y is None else y
     sw = np.sqrt(fit.w)
     beta_scaled, *_ = np.linalg.lstsq(fit.R * sw[:, None], y * sw, rcond=None)
     return beta_scaled

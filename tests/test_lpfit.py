@@ -99,6 +99,6 @@ def test_location_scale_equivariance():
 
 def test_edf_response_default(normal_sample):
     fit = fit_local(normal_sample, 0.0, 0.6, 2)
-    # regressand is the pooled EDF at the window points
+    # the window's EDF is the sample's EDF sliced by the fit's window
     k = np.searchsorted(normal_sample.values, fit.xw, side="right")
-    assert np.allclose(fit.Y, k / normal_sample.n)
+    assert np.allclose(normal_sample.F[fit.window], k / normal_sample.n)

@@ -78,6 +78,8 @@ def test_edf_right_continuous_step():
     assert edf(s, 2.0) == 0.75  # ties counted inclusively
     assert edf(s, 3.0) == 1.0
     assert np.allclose(edf_values(s, np.array([1.0, 2.0])), [0.25, 0.75])
+    assert np.array_equal(s.F, [0.25, 0.75, 0.75, 1.0])
+    assert not s.F.flags.writeable
 
 
 def test_split_at_cutoff_tie_goes_right():
@@ -86,6 +88,9 @@ def test_split_at_cutoff_tie_goes_right():
     assert n_minus == 2 and n_plus == 4
     assert left.support_upper == 2.0 and right.support_lower == 2.0
     assert right.values[0] == 2.0
+    # each side's EDF has its own denominator
+    assert np.array_equal(left.F, [0.5, 1.0])
+    assert np.array_equal(right.F, [0.5, 0.5, 0.75, 1.0])
 
 
 def test_split_at_cutoff_empty_side():

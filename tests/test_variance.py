@@ -28,18 +28,51 @@ def small_sample():
     return load_sample(rng.normal(size=80))
 
 
-def test_gamma_hat_matches_triple_sum(small_sample):
-    fit = fit_local(small_sample, 0.1, 0.9, 2)
-    G = gamma_hat(small_sample, fit)
-    oracle = gamma_triple_sum(small_sample, fit)
+@pytest.fixture(scope="module")
+def oracle_samples(small_sample):
+    rng = np.random.default_rng(3)
+    return {"raw": small_sample, "tied": load_sample(np.round(4 * rng.normal(size=80)) / 4)}
+
+
+def _oracle_fit(samples, data, x, h, p, basis=BasisKind.STANDARD):
+    """Raw data: the given window, triangular kernel. Tied data: the window
+    [-1, 1] with mass points at both edges and at 0, uniform kernel, so the
+    tied edge points carry weight."""
+    s = samples[data]
+    if data == "raw":
+        return s, fit_local(s, x, h, p, basis=basis)
+    fit = fit_local(s, 0.0, 1.0, p, "uniform", basis)
+    assert fit.xw[0] == fit.xw[1] == -1.0 and fit.xw[-2] == fit.xw[-1] == 1.0
+    return s, fit
+
+
+@pytest.mark.parametrize("data", ["raw", "tied"])
+def test_gamma_hat_matches_triple_sum(oracle_samples, data):
+    s, fit = _oracle_fit(oracle_samples, data, 0.1, 0.9, 2)
+    G = gamma_hat(s, fit)
+    oracle = gamma_triple_sum(s, fit)
     assert np.max(np.abs(G - oracle)) / np.max(np.abs(oracle)) < 1e-12
 
 
-def test_gamma_hat_triple_sum_cutoff_basis(small_sample):
-    fit = fit_local(small_sample, 0.0, 1.0, 1, basis=BasisKind.UNRESTRICTED)
-    G = gamma_hat(small_sample, fit)
-    oracle = gamma_triple_sum(small_sample, fit)
+@pytest.mark.parametrize("basis", [BasisKind.UNRESTRICTED, BasisKind.RESTRICTED])
+@pytest.mark.parametrize("data", ["raw", "tied"])
+def test_gamma_hat_triple_sum_cutoff_basis(oracle_samples, data, basis):
+    s, fit = _oracle_fit(oracle_samples, data, 0.0, 1.0, 1, basis)
+    G = gamma_hat(s, fit)
+    oracle = gamma_triple_sum(s, fit)
     assert np.max(np.abs(G - oracle)) / np.max(np.abs(oracle)) < 1e-12
+
+
+@pytest.mark.parametrize("basis", list(BasisKind))
+def test_gamma_hat_reads_the_sample_edf(small_sample, basis):
+    # Gamma-hat is built from the sample's EDF over the fit's window, never
+    # from the regressand, so a response fit gives the EDF fit's Gamma-hat
+    s = small_sample
+    fit = fit_local(s, 0.0, 1.0, 2, basis=basis)
+    other = fit_local(s, 0.0, 1.0, 2, basis=basis, response=np.cos(s.values))
+    assert np.array_equal(gamma_hat(s, other), gamma_hat(s, fit))
+    assert np.array_equal(fit.Rw, fit.R * fit.w[:, None])
+    assert np.array_equal(s.values[fit.window], fit.xw)
 
 
 def test_gamma_hat_symmetric_psd_form(small_sample):
@@ -50,10 +83,11 @@ def test_gamma_hat_symmetric_psd_form(small_sample):
     assert np.min(np.linalg.eigvalsh(G)) > -1e-12
 
 
-def test_jackknife_matches_pairwise_oracle(small_sample):
-    fit = fit_local(small_sample, 0.1, 0.9, 2)
-    G = jackknife_gamma(small_sample, fit)
-    oracle = jackknife_pairwise(small_sample, fit)
+@pytest.mark.parametrize("data", ["raw", "tied"])
+def test_jackknife_matches_pairwise_oracle(oracle_samples, data):
+    s, fit = _oracle_fit(oracle_samples, data, 0.1, 0.9, 2)
+    G = jackknife_gamma(s, fit)
+    oracle = jackknife_pairwise(s, fit)
     assert np.max(np.abs(G - oracle)) / np.max(np.abs(oracle)) < 1e-12
 
 
