@@ -122,7 +122,8 @@ def mse_bandwidth(
     Cases: (a) closed form when v >= 1 and the first-order bias cannot
     vanish (boundary region at the pilot scale, or p - v odd); (b) closed
     form with the second-order bias when v >= 1, interior, p - v even;
-    (c)/(d) numerical empirical-MSE minimization for v = 0.
+    (c)/(d) numerical empirical-MSE minimization for v = 0, which raises
+    ``NonPositiveVariance`` when the minimum is the bracket's lower end span / n.
     """
     if not 0 <= v <= p:
         raise ValueError("need 0 <= v <= p")
@@ -164,7 +165,11 @@ def mse_bandwidth(
         bias = h ** (p + 1) * B1 + h ** (p + 2) * B2
         return bias**2 + V1 * h / n + V2 / (n**2 * h)
 
-    h = _golden_section(objective, sample.span / n, sample.span / 2.0)
+    lo, hi = sample.span / n, sample.span / 2.0
+    h = _golden_section(objective, lo, hi)
+    if h <= lo * (1.0 + 1e-6):
+        raise NonPositiveVariance(f"empirical MSE falls to the lower end of the bandwidth "
+                                  f"bracket [{lo:.4g}, {hi:.4g}]: no interior optimum")
     return BandwidthSelection(
         h=h, v=0, p=p, case_tag=tag,
         bias_estimate=h ** (p + 1) * B1 + h ** (p + 2) * B2,

@@ -42,7 +42,7 @@ class NegativeDensity(LpDensError):
 
 
 class NonPositiveVariance(LpDensError):
-    """Variance quadratic form came out negative."""
+    """A variance term is not positive, so no standard error or MSE-optimal bandwidth exists."""
 
 
 class ZeroVariance(LpDensError):

@@ -1,11 +1,11 @@
 """Kernel families, polynomial bases, and the population moment matrices.
 
 The moment matrices (``S``, ``c``, ``c_tilde``, ``Gamma``, ``Tmat``) are the
-bias/variance constants of the local fit over the (possibly truncated)
-kernel window. Kernels and bases are piecewise polynomial with their only
-kinks at u = 0, so one 20-node Gauss-Legendre rule per segment split at 0
-computes them exactly: the integrands have degree <= 2p+6 and the rule is
-exact up to degree 39, i.e. for p <= 16.
+bias/variance constants of the local fit in the standard basis over the
+(possibly truncated) kernel window. The kernels are piecewise polynomial
+with their only kink at u = 0, so one 20-node Gauss-Legendre rule per
+segment split at 0 computes them exactly: the integrands have degree
+<= 2p+6 and the rule is exact up to degree 39, i.e. for p <= 16.
 """
 
 from __future__ import annotations
@@ -154,15 +154,15 @@ def _gauss_legendre(a: float, b):
 
 
 def _segments(a: float, b: float):
-    # split at 0: kernel kink (triangular) and basis indicator both live there
+    # split at 0, the triangular kernel's kink
     if a < 0.0 < b:
         return [(a, 0.0), (0.0, b)]
     return [(a, b)]
 
 
 @lru_cache(maxsize=512)
-def _moments_cached(family: str, a: float, b: float, p: int, basis: BasisKind):
-    d = basis_dim(p, basis)
+def _moments_cached(family: str, a: float, b: float, p: int):
+    d = p + 1
     S = np.zeros((d, d))
     c = np.zeros(d)
     c_tilde = np.zeros(d)
@@ -173,10 +173,10 @@ def _moments_cached(family: str, a: float, b: float, p: int, basis: BasisKind):
     # per-segment 1-D moments; m0 = int r K, m1 = int u r K reused for Gamma
     seg_m0, seg_m1 = [], []
     for sa, sb in segs:
-        # GL nodes are interior to the segment, so the u=0 indicator and the
-        # triangular-kernel kink are never sampled at the split point itself
+        # GL nodes are interior to the segment, so the triangular-kernel
+        # kink is never sampled at the split point itself
         xs, ws = _gauss_legendre(sa, sb)
-        R = basis_matrix(xs, p, basis)
+        R = basis_matrix(xs, p, BasisKind.STANDARD)
         K = kernel_value(family, xs)
         wk = ws * K
         S += (R * wk[:, None]).T @ R
@@ -189,7 +189,7 @@ def _moments_cached(family: str, a: float, b: float, p: int, basis: BasisKind):
         # Gamma diagonal block via two triangles (min(u,v) kink on u=v):
         # inner[i] = int_{sa}^{xs[i]} v r(v) K(v) dv, one rule per outer node
         vs, wv = _gauss_legendre(sa, xs)
-        Rv = basis_matrix(vs.ravel(), p, basis).reshape(vs.shape + (-1,))
+        Rv = basis_matrix(vs.ravel(), p, BasisKind.STANDARD).reshape(vs.shape + (-1,))
         inner = np.einsum("ik,ikj->ij", wv * vs * kernel_value(family, vs), Rv)
         L = (R * wk[:, None]).T @ inner
         Gamma += L + L.T
@@ -203,20 +203,15 @@ def _moments_cached(family: str, a: float, b: float, p: int, basis: BasisKind):
     return KernelMoments(S=S, c=c, c_tilde=c_tilde, Gamma=Gamma, Tmat=Tmat)
 
 
-def moments(
-    family: str,
-    region: EvalRegion,
-    p: int,
-    basis: BasisKind = BasisKind.STANDARD,
-) -> KernelMoments:
-    """Moment matrices for a kernel family over ``region`` at order ``p``."""
+def moments(family: str, region: EvalRegion, p: int) -> KernelMoments:
+    """Standard-basis moment matrices for a kernel family over ``region`` at order ``p``."""
     if p < 0:
         raise ValueError("p must be nonnegative")
     if family not in KERNEL_FAMILIES:
         raise ValueError(f"unknown kernel family {family!r}")
     if region.b - region.a < _DEGENERATE_TOL:
         raise DegenerateRegion(f"region [{region.a}, {region.b}] is degenerate")
-    return _moments_cached(family, region.a, region.b, p, basis)
+    return _moments_cached(family, region.a, region.b, p)
 
 
 def factorial(v: int) -> float:

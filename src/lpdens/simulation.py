@@ -31,25 +31,20 @@ SUMMARY_COLUMNS = ("x", "n", "p", "kernel", "bw_rule", "bias", "sd", "rmse", "se
 CSV_COLUMNS = SUMMARY_COLUMNS + ("fail_rate", "valid")
 
 
-@dataclass(frozen=True)
 class DGP:
     """Data-generating process with closed-form CDF machinery.
 
-    Pickles by name, since its closures do not: an unpickled DGP is the
-    built-in one that ``get_dgp`` returns for that name.
+    Subclasses set ``name`` and ``support`` and define ``icdf(u)``, ``cdf(x)``
+    and ``cdf_deriv(x, k)`` = F^(k)(x), k >= 1. Their instances hold no
+    state, so a DGP class defined at module level pickles by reference and
+    ``run_design``'s workers draw from exactly the design's DGP.
     """
 
     name: str
     support: tuple
-    icdf: callable
-    cdf: callable
-    cdf_deriv: callable  # cdf_deriv(x, k) = F^(k)(x), k >= 1
 
     def pdf(self, x):
         return self.cdf_deriv(x, 1)
-
-    def __reduce__(self):
-        return get_dgp, (self.name,)
 
 
 def _hermite_prob(x: float, m: int) -> float:
@@ -62,61 +57,57 @@ def _hermite_prob(x: float, m: int) -> float:
     return b
 
 
-def _std_normal_pdf(x):
-    return np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi)
+class _TruncatedNormal(DGP):
+    name = "truncated_normal"
+    support = (-0.8, np.inf)
+    z = 1.0 - ndtr(-0.8)
+    phi_lo = ndtr(-0.8)
 
+    def icdf(self, u):
+        return ndtri(self.phi_lo + u * self.z)
 
-def _truncated_normal() -> DGP:
-    lower = -0.8
-    z = 1.0 - ndtr(lower)
-    phi_lo = ndtr(lower)
+    def cdf(self, x):
+        return np.clip((ndtr(x) - self.phi_lo) / self.z, 0.0, 1.0)
 
-    def icdf(u):
-        return ndtri(phi_lo + u * z)
-
-    def cdf(x):
-        return np.clip((ndtr(x) - phi_lo) / z, 0.0, 1.0)
-
-    def cdf_deriv(x, k):
+    def cdf_deriv(self, x, k):
         # F^(k) = phi^(k-1)/z, phi^(m)(x) = (-1)^m He_m(x) phi(x)
         m = k - 1
-        return (-1.0) ** m * _hermite_prob(x, m) * _std_normal_pdf(x) / z
-
-    return DGP("truncated_normal", (lower, np.inf), icdf, cdf, cdf_deriv)
+        return (-1.0) ** m * _hermite_prob(x, m) * (np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi)) / self.z
 
 
-def _exponential() -> DGP:
-    def cdf_deriv(x, k):
+class _Exponential(DGP):
+    name = "exponential"
+    support = (0.0, np.inf)
+
+    def icdf(self, u):
+        return -np.log1p(-u)
+
+    def cdf(self, x):
+        return 1.0 - np.exp(-x)
+
+    def cdf_deriv(self, x, k):
         return (-1.0) ** (k - 1) * np.exp(-x)
 
-    return DGP(
-        "exponential",
-        (0.0, np.inf),
-        lambda u: -np.log1p(-u),
-        lambda x: 1.0 - np.exp(-x),
-        cdf_deriv,
-    )
 
+class _Uniform01(DGP):
+    name = "uniform01"
+    support = (0.0, 1.0)
 
-def _uniform01() -> DGP:
-    def cdf_deriv(x, k):
+    def icdf(self, u):
+        return u
+
+    def cdf(self, x):
+        return x
+
+    def cdf_deriv(self, x, k):
         return 1.0 if k == 1 else 0.0
-
-    return DGP("uniform01", (0.0, 1.0), lambda u: u, lambda x: x, cdf_deriv)
-
-
-_BUILTIN_DGPS = {
-    "truncated_normal": _truncated_normal,
-    "exponential": _exponential,
-    "uniform01": _uniform01,
-}
 
 
 def get_dgp(name: str) -> DGP:
-    try:
-        return _BUILTIN_DGPS[name]()
-    except KeyError:
-        raise ValueError(f"unknown dgp {name!r}") from None
+    for cls in (_TruncatedNormal, _Exponential, _Uniform01):
+        if cls.name == name:
+            return cls()
+    raise ValueError(f"unknown dgp {name!r}")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from lpdens.bandwidth import (
     preliminary_bandwidth,
 )
 from lpdens import bandwidth, maniptest
-from lpdens.errors import ZeroBias, ZeroVariance
+from lpdens.errors import NonPositiveVariance, ZeroBias, ZeroVariance
 from lpdens.kernels import moments
 from lpdens.lpfit import fit_local
 from lpdens.sample import load_sample
@@ -109,8 +109,21 @@ def test_mse_bandwidth_cdf_cases():
     s = load_sample(rng.exponential(size=4000), support=(0.0, np.inf))
     sel = mse_bandwidth(s, 1.0, 2, 0)
     assert sel.case_tag == "cdf_interior" and sel.h > 0
-    sel_b = mse_bandwidth(s, 0.0, 2, 0)
-    assert sel_b.case_tag == "cdf_boundary_empirical" and sel_b.h > 0
+    sel_b = mse_bandwidth(s, 0.05, 2, 0)
+    assert sel_b.case_tag == "cdf_boundary_empirical" and sel_b.h > s.span / s.n
+    # at the endpoint F(x) = 0, so the objective keeps falling to the bracket's end
+    with pytest.raises(NonPositiveVariance, match="lower end of the bandwidth bracket"):
+        mse_bandwidth(s, 0.0, 2, 0)
+
+
+@pytest.mark.parametrize("x", [0.0, 0.999, 1.0])
+def test_mse_bandwidth_cdf_bracket_end_raises(x):
+    # on (0, 1) the v = 0 objective is minimised at span / n next to either
+    # endpoint: a typed failure, not h = span / n reported as an optimum
+    s = load_sample(np.random.default_rng(0).uniform(size=500), support=(0.0, 1.0))
+    for p in range(4):
+        with pytest.raises(NonPositiveVariance, match=r"bracket \["):
+            mse_bandwidth(s, x, p, 0)
 
 
 @pytest.mark.parametrize("x", [0.5, 2.0])

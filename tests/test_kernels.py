@@ -59,8 +59,6 @@ def test_restricted_basis_needs_order_one():
     s = load_sample(np.linspace(-1.0, 1.0, 200))
     with pytest.raises(ValueError):
         fit_local(s, 0.0, 0.5, 0, basis=BasisKind.RESTRICTED)
-    with pytest.raises(ValueError):
-        moments("triangular", INTERIOR, 0, BasisKind.RESTRICTED)
 
 
 def test_unrestricted_basis_ties_to_right():
@@ -183,13 +181,6 @@ def test_moments_truncated_uniform_closed_form():
             )
         assert mom.c[j] == pytest.approx(monomial_moment_uniform(j + 4, -0.3, 1.0), abs=1e-12)
         assert mom.c_tilde[j] == pytest.approx(monomial_moment_uniform(j + 5, -0.3, 1.0), abs=1e-12)
-
-
-def test_moments_cutoff_basis_cross_blocks_zero():
-    mom = moments("triangular", INTERIOR, 2, BasisKind.UNRESTRICTED)
-    d = 3
-    assert np.max(np.abs(mom.S[:d, d:])) < 1e-14
-    assert np.max(np.abs(mom.S[d:, :d])) < 1e-14
 
 
 def test_tmat_uniform_interior():

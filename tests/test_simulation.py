@@ -28,6 +28,26 @@ from lpdens.simulation import (
 )
 
 
+class RateTwoExponential(simulation.DGP):
+    """Exponential(2), defined at module level so that its instances pickle by class."""
+
+    name = "exponential_rate2"
+    support = (0.0, np.inf)
+
+    def icdf(self, u):
+        return -np.log1p(-u) / 2.0
+
+    def cdf(self, x):
+        return 1.0 - np.exp(-2.0 * x)
+
+    def cdf_deriv(self, x, k):
+        return (-2.0) ** (k - 1) * 2.0 * np.exp(-2.0 * x)
+
+
+class RateTwoUnderBuiltinName(RateTwoExponential):
+    name = "exponential"
+
+
 def test_get_dgp_names():
     for name in ("truncated_normal", "exponential", "uniform01"):
         assert get_dgp(name).name == name
@@ -228,6 +248,18 @@ def test_dgp_pickles_by_name(name):
     x = dgp.icdf(u)
     assert np.array_equal(back.icdf(u), x)
     assert np.array_equal(back.cdf(x), dgp.cdf(x))
+
+
+@pytest.mark.parametrize("dgp_class", [RateTwoExponential, RateTwoUnderBuiltinName])
+def test_run_design_workers_draw_from_the_design_dgp(dgp_class):
+    # the workers must sample the design's own DGP, whatever its name: a
+    # built-in looked up by name would draw Exponential(1) against the
+    # rate-2 truth f(0.5) = 2 exp(-1)
+    dgp = dgp_class()
+    design = SimDesign(dgp=dgp, eval_points=(0.5,), n=500, reps=8, bandwidth_rule=0.3, seed=1)
+    rows = [run_design(design, threads=t) for t in (1, 2)]
+    assert rows[0] == rows[1]
+    assert abs(rows[0][0]["bias"]) < 0.1 * dgp.pdf(0.5)
 
 
 def test_import_leaves_multiprocessing_unloaded():

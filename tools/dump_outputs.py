@@ -7,8 +7,10 @@ call is deterministic, so two checkouts that compute the same results write
 byte-identical files: ``cmp old.json new.json`` checks that a refactor
 changed no bit. Each entry holds the ``repr`` of a call's result, with arrays
 as lists of exact float reprs, or the typed error it raised and its message.
-The calls run on three samples: raw N(0,1) draws, the same draws rounded to
-0.1 (ties), and Exponential(1) draws on the support (0, inf).
+The estimator calls run on three samples: raw N(0,1) draws, the same draws
+rounded to 0.1 (ties), and Exponential(1) draws on the support (0, inf). The
+built-in DGPs (quantiles, CDF and its derivatives, draws, true bandwidths)
+and the kernel moment matrices are written directly as well.
 """
 
 import dataclasses
@@ -42,6 +44,7 @@ def canon(obj):
 def main(src, out_path):
     sys.path.insert(0, src)
     import lpdens as lp
+    from lpdens import kernels, simulation
     from lpdens.errors import LpDensError
 
     rng = np.random.default_rng(2024)
@@ -104,6 +107,28 @@ def main(src, out_path):
             design = lp.SimDesign.from_dict({"dgp": dgp, "eval_points": xs, "n": 200, "reps": 8,
                                              "bandwidth_rule": rule, "seed": 5})
             call(f"run_design {dgp} {rule}", lp.run_design, design, threads=1)
+
+    u = np.array([0.01, 0.25, 0.5, 0.9, 0.999])
+    dgp_points = {"truncated_normal": (-0.8, -0.3, 0.0, 0.7, 1.9),
+                  "exponential": (0.0, 0.1, 0.5, 1.0, 3.0), "uniform01": (0.0, 0.2, 0.5, 0.9, 1.0)}
+    for name, xs in dgp_points.items():
+        dgp = lp.get_dgp(name)
+        call(f"dgp {name} support", lambda: dgp.support)
+        call(f"dgp {name} icdf", dgp.icdf, u)
+        call(f"dgp {name} cdf", dgp.cdf, np.array(xs))
+        for k in range(1, 5):
+            call(f"dgp {name} cdf_deriv k={k}", dgp.cdf_deriv, np.array(xs), k)
+        call(f"sample_dgp {name}", simulation.sample_dgp, dgp, 50, simulation.rep_rng(3, 1))
+        for x in (designs[name][0], xs[3]):
+            for p in (2, 3):
+                call(f"true_mse_bandwidth {name} x={x} p={p}", lp.true_mse_bandwidth, dgp, x, 500, p)
+
+    regions = {"interior": (0.5, 0.2), "lower": (0.05, 0.2), "lower-edge": (0.0, 0.2), "upper": (0.9, 0.2)}
+    for family in kernels.KERNEL_FAMILIES:
+        for kind, (x, h) in regions.items():
+            region = kernels.classify_region(x, h, 0.0, 1.0)
+            for p in range(4):
+                call(f"moments {family} {kind} p={p}", kernels.moments, family, region, p)
 
     with open(out_path, "w") as fh:
         json.dump(entries, fh, indent=0)
