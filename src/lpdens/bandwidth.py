@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientData, NonPositiveVariance, ZeroBias, ZeroVariance
+from .errors import InsufficientData, NonPositiveVariance, SingularDesign, ZeroBias, ZeroVariance
 from .kernels import BasisKind, EvalRegion, factorial, moments, selector
 from .lpfit import LocalFit, derivative_estimate, fit_local
 from .sample import Sample, edf
@@ -70,8 +70,12 @@ def estimate_bias_constants(sample: Sample, fit: LocalFit) -> BiasConstants:
     n = sample.n
     c_hat = R.T @ (w * u ** (p + 1)) / n
     ct_hat = R.T @ (w * u ** (p + 2)) / n
-    Sinv_c = np.linalg.solve(fit.S_hat, c_hat)
-    Sinv_ct = np.linalg.solve(fit.S_hat, ct_hat)
+    try:
+        Sinv_c = np.linalg.solve(fit.S_hat, c_hat)
+        Sinv_ct = np.linalg.solve(fit.S_hat, ct_hat)
+    except np.linalg.LinAlgError as exc:
+        # the fit's Cholesky can accept an S_hat that LU then finds singular
+        raise SingularDesign(f"pilot normal equations singular at x={fit.x}, h={ell}") from exc
 
     ell_deriv = max(ell, _normal_reference(sample, p))
     pilot = fit_local(sample, fit.x, ell_deriv, p + 2, fit.kernel)

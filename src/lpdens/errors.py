@@ -53,6 +53,10 @@ class ZeroBias(LpDensError):
     """Estimated bias constant is numerically zero; no finite MSE optimum."""
 
 
+class NoFixedPoint(LpDensError):
+    """A fixed-point iteration did not settle."""
+
+
 class InvalidAlpha(LpDensError):
     """Significance level outside (0, 1)."""
 

@@ -82,8 +82,8 @@ def fit_local(
     basis dimension (fewer than ``p + 1`` per side for cutoff bases), and
     :class:`SingularDesign` when the normal equations cannot be factorized.
     """
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"bandwidth must be finite and positive, got {h}")
     region = classify_region(x, h, sample.support_lower, sample.support_upper)
 
     lo = int(np.searchsorted(sample.values, x - h, side="left"))

@@ -102,6 +102,8 @@ def diff_mse_bandwidth(sample: Sample, cutoff: float, p: int, kernel: str = "tri
     falls back to the smaller per-side bandwidth. Per-side bandwidths
     from per-side MSE are always reported.
     """
+    if p < 1:
+        raise ValueError(f"p must be at least 1 for the density jump, got {p}")
     left, right, n_minus, n_plus = split_at_cutoff(sample, cutoff)
     n = sample.n
     B_m, V_m = _side_constants(left, cutoff, p, kernel)
@@ -205,8 +207,6 @@ def rbc_test(
 
     A typed bandwidth failure falls back to the preliminary bandwidth, named in ``warnings``.
     """
-    if p < 1:
-        raise ValueError(f"p must be at least 1 for the density jump, got {p}")
     warnings = ()
     try:
         h = diff_mse_bandwidth(sample, cutoff, p, kernel).h_common

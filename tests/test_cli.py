@@ -15,6 +15,11 @@ import lpdens
 from lpdens.cli import main
 
 
+def _dying_rep(design, hs, rep):
+    # module level: the pool pickles the replication function by name
+    os._exit(1)
+
+
 @pytest.fixture(scope="module")
 def data_csv(tmp_path_factory):
     rng = np.random.default_rng(41)
@@ -144,10 +149,7 @@ def test_simulate_seed_overrides_design(design_json, tmp_path, capsys):
 
 
 def test_simulate_dead_worker_is_tagged(design_json, monkeypatch, capsys):
-    def die(design, rep, h_fixed):
-        os._exit(1)
-
-    monkeypatch.setattr("lpdens.simulation._run_one_rep", die)
+    monkeypatch.setattr("lpdens.simulation._run_one_rep", _dying_rep)
     code = main(["simulate", "--design", design_json, "--threads", "2"])
     out = capsys.readouterr()
     assert code == 1

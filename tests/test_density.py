@@ -63,6 +63,15 @@ def test_estimate_grid_outside_support_is_soft(exp_sample):
     assert out[1].error is None
 
 
+def test_estimate_grid_singular_pilot_is_soft():
+    # on data heaped at multiples of 0.25 the p = 3 pilot's S_hat passes the
+    # fit's Cholesky and fails LU; that LinAlgError used to abort the grid
+    s = load_sample(np.round(np.random.default_rng(3).normal(size=500) / 0.25) * 0.25)
+    out = estimate_grid(s, default_grid(s, 25), p=3)
+    assert len(out) == 25
+    assert "SingularDesign" in {e.error for e in out}
+
+
 def test_estimate_grid_fixed_bandwidth(exp_sample):
     out = estimate_grid(exp_sample, [1.0], h=0.4)
     assert out[0].h_used == 0.4

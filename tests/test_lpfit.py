@@ -79,9 +79,12 @@ def test_derivative_order_guard(normal_sample):
         derivative_estimate(fit, 3)
 
 
-def test_bandwidth_must_be_positive(normal_sample):
+@pytest.mark.parametrize("h", [0.0, -0.5, float("nan"), float("inf")])
+def test_bandwidth_must_be_positive(normal_sample, h):
+    # NaN and inf used to pass the check and fail later as InsufficientData
+    # or DegenerateRegion
     with pytest.raises(ValueError):
-        fit_local(normal_sample, 0.0, 0.0, 2)
+        fit_local(normal_sample, 0.0, h, 2)
 
 
 def test_location_scale_equivariance():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lpdens.errors import EmptySide, LpDensError, NonPositiveVariance
+from lpdens.errors import EmptySide, LpDensError, NonPositiveVariance, SingularDesign
 from lpdens.kernels import BasisKind
 from lpdens.lpfit import derivative_estimate, fit_local
 from lpdens.maniptest import MODELS, cutoff_test, diff_mse_bandwidth, rbc_test
@@ -156,6 +156,19 @@ def test_rbc_rejects_bad_order_and_model(normal_sample):
         rbc_test(normal_sample, 0.0, p=0)
     with pytest.raises(ValueError):
         rbc_test(normal_sample, 0.0, model="two-sided")
+    # the conventional test's own bandwidth needs order 1 too (was IndexError)
+    with pytest.raises(ValueError):
+        cutoff_test(normal_sample, 0.0, p=0)
+
+
+def test_rbc_singular_pilot_takes_the_fallback():
+    # on 0.1-rounded data the pilot fit's Cholesky accepts an S_hat that LU
+    # rejects; a LinAlgError used to escape the bandwidth fallback
+    s = load_sample(np.round(np.random.default_rng(3).normal(size=500), 1))
+    with pytest.raises(SingularDesign):
+        diff_mse_bandwidth(s, 0.3, 2)
+    with pytest.raises(NonPositiveVariance):
+        rbc_test(s, 0.3)
 
 
 @pytest.mark.parametrize("model", ["unrestricted", "restricted"])

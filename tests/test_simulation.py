@@ -14,7 +14,7 @@ from scipy.stats import norm
 
 import lpdens
 from lpdens import simulation
-from lpdens.errors import ZeroBias
+from lpdens.errors import NoFixedPoint, ZeroBias
 from lpdens.cli import render
 from lpdens.simulation import (
     CSV_COLUMNS,
@@ -46,6 +46,15 @@ class RateTwoExponential(simulation.DGP):
 
 class RateTwoUnderBuiltinName(RateTwoExponential):
     name = "exponential"
+
+
+# replication stubs live at module level: the pool pickles them by name
+def _constant_rep(design, hs, rep):
+    return [(1.0, 0.1)]
+
+
+def _failing_rep(design, hs, rep):
+    raise ValueError(f"rep {rep}")
 
 
 def test_get_dgp_names():
@@ -141,12 +150,33 @@ def test_true_mse_bandwidth_second_order_matches_direct_formula():
     assert h == pytest.approx(closed_form_h(V, B, n, p, v, 2), rel=1e-9)
 
 
-def test_true_mse_bandwidth_boundary_fixed_point():
+@pytest.mark.parametrize("x, n", [(0.0, 2000), (0.5, 400)])
+def test_true_mse_bandwidth_boundary_fixed_point(x, n):
+    # boundary points: h must reproduce itself through the closed form over
+    # its own region. At (0.5, 400) the plain iteration oscillates (g crosses
+    # h with slope about -2) and used to return its 100th iterate, 1.724
+    from lpdens.bandwidth import closed_form_h
+    from lpdens.kernels import classify_region, moments
+
     dgp = get_dgp("exponential")
-    h = true_mse_bandwidth(dgp, 0.0, 2000)
-    # x=0 is always a boundary point; h must be stable under re-evaluation
-    assert h == pytest.approx(true_mse_bandwidth(dgp, 0.0, 2000), rel=1e-12)
-    assert 0.1 < h < 2.0
+    p, v = 2, 1
+    h = true_mse_bandwidth(dgp, x, n, p, v)
+    region = classify_region(x, h, 0.0, np.inf)
+    assert not region.is_interior
+    mom = moments("triangular", region, p)
+    e = np.zeros(p + 1)
+    e[v] = 1.0
+    z = np.linalg.solve(mom.S, e)
+    V = dgp.pdf(x) * float(z @ mom.Gamma @ z)
+    B = dgp.cdf_deriv(x, p + 1) / 6.0 * float(z @ mom.c)
+    assert h == pytest.approx(closed_form_h(V, B, n, p, v), rel=1e-9)
+
+
+def test_true_mse_bandwidth_without_fixed_point_raises():
+    # a fixed point exists (h about 1.657), but g falls through h there with
+    # a log slope of about -3.3, so the damped steps enter a 2-cycle
+    with pytest.raises(NoFixedPoint):
+        true_mse_bandwidth(get_dgp("truncated_normal"), 0.45, 400, p=1, v=1)
 
 
 def test_true_mse_bandwidth_uniform_zero_bias():
@@ -213,12 +243,12 @@ def test_run_design_caps_workers(monkeypatch, threads, reps, cpus, expect):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
+        def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(simulation, "_run_one_rep", lambda design, rep, h_fixed: {1.0: (1.0, 0.1)})
+    monkeypatch.setattr(simulation, "_run_one_rep", _constant_rep)
     design = SimDesign(dgp=get_dgp("exponential"), eval_points=(1.0,), n=300, reps=reps, seed=3)
     (row,) = run_design(design, threads=threads)
     assert seen == [expect]
@@ -230,10 +260,7 @@ def test_run_design_leaves_no_worker_behind(monkeypatch):
     run_design(design, threads=2)
     assert multiprocessing.active_children() == []
 
-    def bad_rep(design, rep, h_fixed):
-        raise ValueError(f"rep {rep}")
-
-    monkeypatch.setattr(simulation, "_run_one_rep", bad_rep)
+    monkeypatch.setattr(simulation, "_run_one_rep", _failing_rep)
     with pytest.raises(ValueError, match="rep 0"):
         run_design(design, threads=2)
     assert multiprocessing.active_children() == []
@@ -285,12 +312,15 @@ def test_design_validation():
     ("v", 3),
     ("v", -1),
     ("eval_points", ()),
+    ("eval_points", (float("nan"), 1.0)),
+    ("eval_points", (float("inf"),)),
     ("bandwidth_rule", "mse"),
     ("bandwidth_rule", -1.0),
     ("bandwidth_rule", 0.0),
     ("bandwidth_rule", float("nan")),
     ("bandwidth_rule", float("inf")),
-], ids=["kernel", "v-above-p", "v-negative", "no-eval-points", "rule-name",
+], ids=["kernel", "v-above-p", "v-negative", "no-eval-points", "eval-point-nan",
+        "eval-point-inf", "rule-name",
         "multiple-negative", "multiple-zero", "multiple-nan", "multiple-inf"])
 def test_design_rejects_bad_fields(field, value):
     # rejected when the design is built, before any replication runs
@@ -315,6 +345,14 @@ def test_design_file_roundtrip(tmp_path):
     design = load_design(str(path))
     assert design.bandwidth_rule == 0.5
     assert design.eval_points == (0.5, 1.5)
+
+
+def test_design_file_rejects_unknown_keys():
+    # a misspelled key used to be dropped, running the defaults silently
+    spec = {"dgp": "exponential", "eval_points": [1.0], "n": 300, "reps": 4,
+            "bandwith_rule": "mse_estimated", "sed": 5}
+    with pytest.raises(ValueError, match="bandwith_rule"):
+        SimDesign.from_dict(spec)
 
 
 def test_summary_emitters():

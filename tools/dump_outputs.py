@@ -107,6 +107,11 @@ def main(src, out_path):
             design = lp.SimDesign.from_dict({"dgp": dgp, "eval_points": xs, "n": 200, "reps": 8,
                                              "bandwidth_rule": rule, "seed": 5})
             call(f"run_design {dgp} {rule}", lp.run_design, design, threads=1)
+    # the benchmark's exponential design: with 400 reps the summary means and
+    # sds run through numpy's pairwise summation, which 8 reps never reach
+    design = lp.SimDesign.from_dict({"dgp": "exponential", "eval_points": (0.1, 1.0), "n": 500,
+                                     "reps": 400, "seed": 0})
+    call("run_design exponential mse_true reps=400 threads=2", lp.run_design, design, threads=2)
 
     u = np.array([0.01, 0.25, 0.5, 0.9, 0.999])
     dgp_points = {"truncated_normal": (-0.8, -0.3, 0.0, 0.7, 1.9),
