@@ -79,8 +79,13 @@ def test_derivative_order_guard(normal_sample):
         derivative_estimate(fit, 3)
 
 
-@pytest.mark.parametrize("h", [0.0, -0.5, float("nan"), float("inf")])
-def test_bandwidth_must_be_positive(normal_sample, h):
+def test_bandwidth_must_be_positive(normal_sample):
+    with pytest.raises(ValueError):
+        fit_local(normal_sample, 0.0, 0.0, 2)
+
+
+@pytest.mark.parametrize("h", [-0.5, float("nan"), float("inf")])
+def test_bandwidth_must_be_positive_and_finite(normal_sample, h):
     # NaN and inf used to pass the check and fail later as InsufficientData
     # or DegenerateRegion
     with pytest.raises(ValueError):

@@ -150,11 +150,8 @@ def test_true_mse_bandwidth_second_order_matches_direct_formula():
     assert h == pytest.approx(closed_form_h(V, B, n, p, v, 2), rel=1e-9)
 
 
-@pytest.mark.parametrize("x, n", [(0.0, 2000), (0.5, 400)])
-def test_true_mse_bandwidth_boundary_fixed_point(x, n):
-    # boundary points: h must reproduce itself through the closed form over
-    # its own region. At (0.5, 400) the plain iteration oscillates (g crosses
-    # h with slope about -2) and used to return its 100th iterate, 1.724
+def _assert_boundary_fixed_point(x, n):
+    # h must reproduce itself through the closed form over its own region
     from lpdens.bandwidth import closed_form_h
     from lpdens.kernels import classify_region, moments
 
@@ -170,6 +167,19 @@ def test_true_mse_bandwidth_boundary_fixed_point(x, n):
     V = dgp.pdf(x) * float(z @ mom.Gamma @ z)
     B = dgp.cdf_deriv(x, p + 1) / 6.0 * float(z @ mom.c)
     assert h == pytest.approx(closed_form_h(V, B, n, p, v), rel=1e-9)
+    return h
+
+
+def test_true_mse_bandwidth_boundary_fixed_point():
+    # x=0 is always a boundary point
+    h = _assert_boundary_fixed_point(0.0, 2000)
+    assert 0.1 < h < 2.0
+
+
+def test_true_mse_bandwidth_boundary_fixed_point_oscillating():
+    # at (0.5, 400) the plain iteration oscillates (g crosses h with slope
+    # about -2) and used to return its 100th iterate, 1.724
+    _assert_boundary_fixed_point(0.5, 400)
 
 
 def test_true_mse_bandwidth_without_fixed_point_raises():
