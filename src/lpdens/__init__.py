@@ -25,7 +25,6 @@ from .maniptest import (
 from .sample import Sample, edf, load_csv, load_sample, split_at_cutoff
 from .simulation import SimDesign, get_dgp, run_design, true_mse_bandwidth
 from .variance import (
-    VarianceEstimate,
     difference_se,
     gamma_hat,
     jackknife_gamma,
@@ -46,7 +45,6 @@ __all__ = [
     "ManipulationTestResult",
     "Sample",
     "SimDesign",
-    "VarianceEstimate",
     "classify_region",
     "closed_form_h",
     "cutoff_test",

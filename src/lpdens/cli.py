@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, formats=True)
     sp.add_argument("--v", type=int, default=1, help="derivative order (default: 1)")
     sp.add_argument("--grid", type=int, default=25,
-                    help="number of quantile grid points (default: 25)")
+                    help="at most this many quantile grid points (default: 25)")
     sp.add_argument("--grid-points", type=lambda s: [float(t) for t in s.split(",")],
                     default=None, help="explicit comma-separated evaluation points")
     sp.add_argument("--bandwidth", default="auto",

@@ -46,16 +46,15 @@ class DensityEstimate:
 
 
 def default_grid(sample: Sample, n_points: int) -> np.ndarray:
-    """Quantile grid: EDF inverse at equispaced probabilities, endpoints kept.
-
-    The inverse uses the lower-midpoint convention: probability q maps to
-    the order statistic at index ceil(q n) - 1.
+    """Quantile grid: at most ``n_points`` distinct EDF inverses at equispaced
+    probabilities, endpoints kept; the inverse maps probability q to the order
+    statistic at index ceil(q n) - 1 (the lower-midpoint convention).
     """
     if n_points < 2:
         raise EmptyGrid("grid needs at least 2 points")
     probs = np.linspace(0.0, 1.0, n_points)
     idx = np.clip(np.ceil(probs * sample.n).astype(int) - 1, 0, sample.n - 1)
-    return sample.values[idx].astype(float)
+    return np.unique(sample.values[idx]).astype(float)
 
 
 def _estimate_point(sample, x, p, v, kernel, alpha, h):
@@ -67,7 +66,7 @@ def _estimate_point(sample, x, p, v, kernel, alpha, h):
     # RBC: interval centered at the order-(p+1) estimate with matching se
     fit_ci = fit_local(sample, x, h, p + 1, kernel)
     f_ci = derivative_estimate(fit_ci, v)
-    se = standard_error(sample, fit_ci, v).se
+    se = standard_error(sample, fit_ci, v)
     z = ndtri(1.0 - alpha / 2.0)
     return DensityEstimate(
         x=x,

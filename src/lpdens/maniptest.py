@@ -162,8 +162,8 @@ def cutoff_test(
         fit_p = fit_local(right, cutoff, h_plus, p, kernel)
         f_minus = derivative_estimate(fit_m, 1)
         f_plus = derivative_estimate(fit_p, 1)
-        se_m = standard_error(left, fit_m, 1).se
-        se_p = standard_error(right, fit_p, 1).se
+        se_m = standard_error(left, fit_m, 1)
+        se_p = standard_error(right, fit_p, 1)
         jump = (n_plus / n) * f_plus - (n_minus / n) * f_minus
         se = float(np.hypot((n_plus / n) * se_p, (n_minus / n) * se_m))
         m_eff_minus, m_eff_plus = fit_m.m_eff, fit_p.m_eff

@@ -179,8 +179,11 @@ def true_mse_bandwidth(dgp: DGP, x: float, n: int, p: int = 2, v: int = 1, kerne
     Region classification depends on the bandwidth itself near a boundary,
     so the closed form h -> g(h) is iterated to a fixed point: 100 plain
     steps, then up to 100 damped steps h -> sqrt(h g(h)), which settle where
-    the plain ones oscillate, else ``NoFixedPoint``. The closed form
-    V / (n h^{2v-1}) needs 1 <= v <= p; other orders raise ``ValueError``.
+    the plain ones oscillate, then up to 100 geometric bisection steps between
+    the largest h with g(h) > h and the smallest with g(h) < h seen so far,
+    which settle where the damped ones 2-cycle, else ``NoFixedPoint``. The
+    closed form V / (n h^{2v-1}) needs 1 <= v <= p; other orders raise
+    ``ValueError``.
     """
     if not 1 <= v <= p:
         raise ValueError(f"true MSE bandwidth needs 1 <= v <= p, got v={v}, p={p}")
@@ -188,7 +191,8 @@ def true_mse_bandwidth(dgp: DGP, x: float, n: int, p: int = 2, v: int = 1, kerne
     f = dgp.pdf(x)
     e = selector(p, BasisKind.STANDARD, v)
     h = n ** (-1.0 / (2 * p + 1))
-    for step in range(200):
+    below, above = 0.0, math.inf
+    for step in range(300):
         region = classify_region(x, h, lo, hi)
         mom = moments(kernel, region, p)
         z = np.linalg.solve(mom.S, e)
@@ -204,7 +208,16 @@ def true_mse_bandwidth(dgp: DGP, x: float, n: int, p: int = 2, v: int = 1, kerne
         h_new = closed_form_h(V, B, n, p, v, order)
         if abs(h_new - h) <= 1e-12 * h:
             return float(h_new)
-        h = h_new if step < 100 else math.sqrt(h * h_new)
+        if h_new > h:
+            below = max(below, h)
+        else:
+            above = min(above, h)
+        if step < 200:
+            h = h_new if step < 100 else math.sqrt(h * h_new)
+        elif above == math.inf or below == 0.0:
+            h = 2 * h if above == math.inf else h / 2
+        else:
+            h = math.sqrt(below * above)
     raise NoFixedPoint(f"true MSE bandwidth at x={x}, n={n}, p={p}, v={v} did not settle")
 
 
@@ -219,7 +232,7 @@ def _run_one_rep(design: SimDesign, hs: tuple, rep: int) -> list:
             if h is None:
                 h = mse_bandwidth(sample, x, design.p, design.v, design.kernel).h
             fit = fit_local(sample, x, h, design.p, design.kernel)
-            out.append((derivative_estimate(fit, design.v), standard_error(sample, fit, design.v).se))
+            out.append((derivative_estimate(fit, design.v), standard_error(sample, fit, design.v)))
         except LpDensError:
             out.append((np.nan, np.nan))
     return out

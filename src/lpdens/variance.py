@@ -10,13 +10,12 @@ estimated density.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NegativeDensity, NonPositiveVariance
 from .kernels import BasisKind, factorial, moments, selector
-from .lpfit import LocalFit, derivative_estimate, fit_local
+from .lpfit import LocalFit, derivative_estimate
 from .sample import Sample
 
 _NEG_TOL = 1e-12
@@ -24,14 +23,6 @@ _NEG_TOL = 1e-12
 _BLOCK_ELEMENTS = 2**16
 #: per-thread grow-only buffer behind Gamma-hat's m x m matrix
 _workspace = threading.local()
-
-
-@dataclass(frozen=True)
-class VarianceEstimate:
-    method: str  # "gamma_hat" | "jackknife" | "plugin"
-    V_hat: float
-    se: float
-    v: int
 
 
 def gamma_hat(sample: Sample, fit: LocalFit) -> np.ndarray:
@@ -73,30 +64,17 @@ def quadratic_form(fit: LocalFit, G: np.ndarray, e: np.ndarray) -> float:
     return float(z @ G @ z)
 
 
-def _se_from_form(q: float, n: int, h: float, v: int) -> float:
+def _se(fit: LocalFit, G: np.ndarray, e: np.ndarray, v: int) -> float:
+    """se = v! sqrt(q / (n h^{2v})), q = e' S^-1 G S^-1 e; no interior/boundary branch."""
+    q = quadratic_form(fit, G, e)
     if q < -_NEG_TOL:
         raise NonPositiveVariance(f"variance quadratic form is negative ({q:.3e})")
-    return factorial(v) * np.sqrt(max(q, 0.0) / (n * h ** (2 * v)))
+    return factorial(v) * np.sqrt(max(q, 0.0) / (fit.n * fit.h ** (2 * v)))
 
 
-def _estimate(
-    method: str, fit: LocalFit, G: np.ndarray, v: int, side: str | None
-) -> VarianceEstimate:
-    """se = v! sqrt(q / (n h^{2v})), q = e_v' S^-1 G S^-1 e_v; no interior/boundary branch."""
-    q = quadratic_form(fit, G, selector(fit.p, fit.basis, v, side))
-    return VarianceEstimate(
-        method=method,
-        V_hat=q,
-        se=_se_from_form(q, fit.n, fit.h, v),
-        v=v,
-    )
-
-
-def standard_error(
-    sample: Sample, fit: LocalFit, v: int, side: str | None = None
-) -> VarianceEstimate:
+def standard_error(sample: Sample, fit: LocalFit, v: int, side: str | None = None) -> float:
     """Gamma-hat standard error for the order-v derivative estimate."""
-    return _estimate("gamma_hat", fit, gamma_hat(sample, fit), v, side)
+    return _se(fit, gamma_hat(sample, fit), selector(fit.p, fit.basis, v, side), v)
 
 
 def difference_se(sample: Sample, fit: LocalFit) -> float:
@@ -107,8 +85,7 @@ def difference_se(sample: Sample, fit: LocalFit) -> float:
     if fit.basis is BasisKind.STANDARD:
         raise ValueError("difference_se requires a cutoff basis")
     e = selector(fit.p, fit.basis, 1, "right") - selector(fit.p, fit.basis, 1, "left")
-    q = quadratic_form(fit, gamma_hat(sample, fit), e)
-    return _se_from_form(q, fit.n, fit.h, v=1)
+    return _se(fit, gamma_hat(sample, fit), e, 1)
 
 
 def jackknife_gamma(sample: Sample, fit: LocalFit) -> np.ndarray:
@@ -136,35 +113,24 @@ def jackknife_gamma(sample: Sample, fit: LocalFit) -> np.ndarray:
     return (abar.T @ abar) / n - np.outer(ubar, ubar)
 
 
-def jackknife_se(
-    sample: Sample, fit: LocalFit, v: int, side: str | None = None
-) -> VarianceEstimate:
+def jackknife_se(sample: Sample, fit: LocalFit, v: int, side: str | None = None) -> float:
     """Jackknife-based standard error; same assembly as the Gamma-hat route, with Gamma-hat^JK."""
-    return _estimate("jackknife", fit, jackknife_gamma(sample, fit), v, side)
+    return _se(fit, jackknife_gamma(sample, fit), selector(fit.p, fit.basis, v, side), v)
 
 
-def plugin_se(
-    sample: Sample, x: float, h: float, p: int, v: int, kernel: str = "triangular"
-) -> VarianceEstimate:
-    """Plug-in standard error: quadrature S, Gamma plus the estimated density.
+def plugin_se(sample: Sample, fit: LocalFit, v: int) -> float:
+    """Plug-in standard error of a standard-basis fit: quadrature S and Gamma, estimated f.
 
     se = sqrt(V / (n h^{2v-1})) with V = (v!)^2 f S^-1 Gamma S^-1. Requires
     knowledge of the support (through the evaluation region) and a positive
     density estimate; raises :class:`NegativeDensity` otherwise.
     """
-    if p < 1 or v < 1:
-        raise ValueError("plug-in route requires p >= 1 and v >= 1")
-    fit = fit_local(sample, x, h, p, kernel)
+    if fit.basis is not BasisKind.STANDARD or fit.p < 1 or v < 1:
+        raise ValueError("plug-in route requires a standard-basis fit, p >= 1 and v >= 1")
     f_hat = derivative_estimate(fit, 1)
     if f_hat <= 0:
-        raise NegativeDensity(f"estimated density {f_hat} <= 0 at x={x}")
-    mom = moments(kernel, fit.region, p)
-    z = np.linalg.solve(mom.S, selector(p, BasisKind.STANDARD, v))
+        raise NegativeDensity(f"estimated density {f_hat} <= 0 at x={fit.x}")
+    mom = moments(fit.kernel, fit.region, fit.p)
+    z = np.linalg.solve(mom.S, selector(fit.p, BasisKind.STANDARD, v))
     V_hat = factorial(v) ** 2 * f_hat * float(z @ mom.Gamma @ z)
-    se = float(np.sqrt(V_hat / (sample.n * h ** (2 * v - 1))))
-    return VarianceEstimate(
-        method="plugin",
-        V_hat=V_hat,
-        se=se,
-        v=v,
-    )
+    return float(np.sqrt(V_hat / (sample.n * fit.h ** (2 * v - 1))))

@@ -200,8 +200,8 @@ def calibration_cells():
             fit = fit_local(s, x, h, 2)
             return (
                 derivative_estimate(fit, 1),
-                standard_error(s, fit, 1).se,
-                jackknife_se(s, fit, 1).se,
+                standard_error(s, fit, 1),
+                jackknife_se(s, fit, 1),
             )
 
         arr = np.array(_pmap(one, 2000))

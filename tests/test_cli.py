@@ -67,6 +67,21 @@ def test_density_partial_failure_exit_2(data_csv, capsys):
     assert "outside-support" in out.err
 
 
+def test_density_heaped_default_grid_fits_each_point_once(tmp_path, capsys):
+    # heaped at multiples of 0.25, the 25 quantiles hold 16 distinct values;
+    # each repeat used to be fitted again and to warn about its x again
+    values = np.round(np.random.default_rng(3).normal(size=500) / 0.25) * 0.25
+    grid = lpdens.default_grid(lpdens.load_sample(values), 25)
+    assert np.all(np.diff(grid) > 0)
+    path = tmp_path / "heaped.csv"
+    np.savetxt(path, values)
+    code = main(["density", "--input", str(path), "--p", "3"])
+    warned = [line.split()[1] for line in capsys.readouterr().err.splitlines()
+              if line.startswith("warning: x=")]
+    assert code == 2
+    assert len(warned) == len(set(warned)) > 0
+
+
 @pytest.mark.parametrize("h", ["nan", "inf", "0", "-1"])
 def test_density_bad_fixed_bandwidth_is_a_value_error(data_csv, h, capsys):
     code = main(["density", "--input", data_csv, "--grid", "5", f"--bandwidth={h}"])

@@ -1,6 +1,7 @@
 """Monte Carlo harness: DGPs, seeding, true bandwidths, summaries."""
 
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -150,22 +151,22 @@ def test_true_mse_bandwidth_second_order_matches_direct_formula():
     assert h == pytest.approx(closed_form_h(V, B, n, p, v, 2), rel=1e-9)
 
 
-def _assert_boundary_fixed_point(x, n):
+def _assert_boundary_fixed_point(x, n, name="exponential", p=2):
     # h must reproduce itself through the closed form over its own region
     from lpdens.bandwidth import closed_form_h
     from lpdens.kernels import classify_region, moments
 
-    dgp = get_dgp("exponential")
-    p, v = 2, 1
+    dgp = get_dgp(name)
+    v = 1
     h = true_mse_bandwidth(dgp, x, n, p, v)
-    region = classify_region(x, h, 0.0, np.inf)
+    region = classify_region(x, h, *dgp.support)
     assert not region.is_interior
     mom = moments("triangular", region, p)
     e = np.zeros(p + 1)
     e[v] = 1.0
     z = np.linalg.solve(mom.S, e)
     V = dgp.pdf(x) * float(z @ mom.Gamma @ z)
-    B = dgp.cdf_deriv(x, p + 1) / 6.0 * float(z @ mom.c)
+    B = dgp.cdf_deriv(x, p + 1) / math.factorial(p + 1) * float(z @ mom.c)
     assert h == pytest.approx(closed_form_h(V, B, n, p, v), rel=1e-9)
     return h
 
@@ -182,9 +183,21 @@ def test_true_mse_bandwidth_boundary_fixed_point_oscillating():
     _assert_boundary_fixed_point(0.5, 400)
 
 
-def test_true_mse_bandwidth_without_fixed_point_raises():
-    # a fixed point exists (h about 1.657), but g falls through h there with
-    # a log slope of about -3.3, so the damped steps enter a 2-cycle
+def test_true_mse_bandwidth_boundary_fixed_point_two_cycle():
+    # g falls through h near 1.657 with a log slope of about -3.3, so the
+    # damped steps enter a 2-cycle; the bisection on the bracket settles
+    h = _assert_boundary_fixed_point(0.45, 400, "truncated_normal", p=1)
+    assert h == pytest.approx(1.65656, rel=1e-5)
+
+
+def test_true_mse_bandwidth_without_fixed_point_raises(monkeypatch):
+    # g(h) = 2h has no fixed point and never closes a bracket; the closed
+    # form is not passed h, so the stub reads it from the region classifier
+    seen = []
+    classify = simulation.classify_region
+    monkeypatch.setattr(simulation, "classify_region",
+                        lambda x, h, lo, hi: seen.append(h) or classify(x, h, lo, hi))
+    monkeypatch.setattr(simulation, "closed_form_h", lambda *args: 2 * seen[-1])
     with pytest.raises(NoFixedPoint):
         true_mse_bandwidth(get_dgp("truncated_normal"), 0.45, 400, p=1, v=1)
 

@@ -9,7 +9,8 @@ import pytest
 
 from oracles import gamma_triple_sum, jackknife_pairwise
 
-from lpdens.kernels import BasisKind
+from lpdens.errors import NegativeDensity
+from lpdens.kernels import BasisKind, selector
 from lpdens.lpfit import fit_local
 from lpdens.sample import edf_values, load_sample
 from lpdens.variance import (
@@ -18,6 +19,7 @@ from lpdens.variance import (
     jackknife_gamma,
     jackknife_se,
     plugin_se,
+    quadratic_form,
     standard_error,
 )
 
@@ -95,19 +97,19 @@ def test_jackknife_se_close_to_gamma_hat_se():
     rng = np.random.default_rng(9)
     s = load_sample(rng.exponential(size=1500), support=(0.0, np.inf))
     fit = fit_local(s, 1.0, 0.4, 2)
-    se_g = standard_error(s, fit, 1).se
-    se_j = jackknife_se(s, fit, 1).se
+    se_g = standard_error(s, fit, 1)
+    se_j = jackknife_se(s, fit, 1)
     assert se_j == pytest.approx(se_g, rel=0.1)
 
 
 def test_standard_error_positive_and_scaling(small_sample):
     fit = fit_local(small_sample, 0.1, 0.9, 2)
-    est = standard_error(small_sample, fit, 1)
-    assert est.se > 0
-    assert est.method == "gamma_hat"
+    se = standard_error(small_sample, fit, 1)
+    assert se > 0
     # se = 1! sqrt(q / (n h^2))
-    want = np.sqrt(est.V_hat / (small_sample.n * fit.h**2))
-    assert est.se == pytest.approx(want)
+    q = quadratic_form(fit, gamma_hat(small_sample, fit), selector(fit.p, fit.basis, 1))
+    want = np.sqrt(q / (small_sample.n * fit.h**2))
+    assert se == pytest.approx(want)
 
 
 def test_difference_se_requires_cutoff_basis(small_sample):
@@ -127,14 +129,24 @@ def test_plugin_se_matches_derived_value():
     # V = e1' S^-1 Gamma S^-1 e1 = 9 * (1/15) = 3/5
     vals = np.linspace(0.001, 0.999, 2001)  # near-perfect uniform sample
     s = load_sample(vals, support=(0.0, 1.0))
-    est = plugin_se(s, 0.5, 0.3, 1, 1, kernel="uniform")
-    assert est.V_hat == pytest.approx(0.6, rel=5e-3)
-    assert est.se == pytest.approx(np.sqrt(est.V_hat / (s.n * 0.3)), rel=1e-12)
+    se = plugin_se(s, fit_local(s, 0.5, 0.3, 1, kernel="uniform"), 1)
+    # se = sqrt(V / (n h)), so se^2 n h recovers V
+    assert se**2 * s.n * 0.3 == pytest.approx(0.6, rel=5e-3)
 
 
 def test_plugin_se_order_guard(small_sample):
-    with pytest.raises(ValueError):
-        plugin_se(small_sample, 0.0, 0.5, 2, 0)
+    for fit, v in ((fit_local(small_sample, 0.0, 0.5, 2), 0),
+                   (fit_local(small_sample, 0.0, 0.5, 0), 1),
+                   (fit_local(small_sample, 0.0, 0.5, 2, basis=BasisKind.UNRESTRICTED), 1)):
+        with pytest.raises(ValueError):
+            plugin_se(small_sample, fit, v)
+
+
+def test_plugin_se_negative_density_is_typed(small_sample):
+    # regressing on -F turns every derivative estimate negative, f_hat included
+    fit = fit_local(small_sample, 0.0, 0.5, 2, response=-small_sample.F)
+    with pytest.raises(NegativeDensity):
+        plugin_se(small_sample, fit, 1)
 
 
 @pytest.fixture(scope="module")

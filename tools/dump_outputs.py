@@ -95,7 +95,7 @@ def main(src, out_path):
                     if basis is lp.BasisKind.STANDARD:
                         call(f"standard_error {label}", lp.standard_error, s, fit, 1)
                         call(f"jackknife_se {label}", lp.jackknife_se, s, fit, 1)
-                        call(f"plugin_se {label}", lp.plugin_se, s, x, h, p, 1)
+                        call(f"plugin_se {label}", lp.plugin_se, s, fit, 1)
                     else:
                         call(f"difference_se {label}", lp.difference_se, s, fit)
                         call(f"standard_error {label}", lp.standard_error, s, fit, 1, "right")
@@ -127,6 +127,11 @@ def main(src, out_path):
         for x in (designs[name][0], xs[3]):
             for p in (2, 3):
                 call(f"true_mse_bandwidth {name} x={x} p={p}", lp.true_mse_bandwidth, dgp, x, 500, p)
+    # fixed points that the plain and damped steps miss and the bracket settles
+    for name, x, p, v in (("truncated_normal", 0.45, 1, 1), ("exponential", 1.1, 3, 2)):
+        call(f"true_mse_bandwidth {name} x={x} n=400 p={p} v={v}", lp.true_mse_bandwidth,
+             lp.get_dgp(name), x, 400, p, v)
+    call("default_grid rounded 25", lp.default_grid, samples["rounded"], 25)
 
     regions = {"interior": (0.5, 0.2), "lower": (0.05, 0.2), "lower-edge": (0.0, 0.2), "upper": (0.9, 0.2)}
     for family in kernels.KERNEL_FAMILIES:
