@@ -22,7 +22,7 @@ from .maniptest import (
     diff_mse_bandwidth,
     rbc_test,
 )
-from .sample import Sample, edf, load_csv, load_sample, split_at_cutoff
+from .sample import Sample, edf_values, load_csv, load_sample, split_at_cutoff
 from .simulation import SimDesign, get_dgp, run_design, true_mse_bandwidth
 from .variance import (
     difference_se,
@@ -52,7 +52,7 @@ __all__ = [
     "derivative_estimate",
     "diff_mse_bandwidth",
     "difference_se",
-    "edf",
+    "edf_values",
     "estimate_grid",
     "fit_local",
     "gamma_hat",

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientData, NonPositiveVariance, SingularDesign, ZeroBias, ZeroVariance
+from .errors import InsufficientData, NegativeDensity, NonPositiveVariance, SingularDesign, ZeroBias, ZeroVariance
 from .kernels import BasisKind, EvalRegion, factorial, moments, selector
 from .lpfit import LocalFit, derivative_estimate, fit_local
-from .sample import Sample, edf
+from .sample import Sample, edf_values
 from .variance import gamma_hat, quadratic_form
 
 _ZERO_BIAS_TOL = 1e-12
@@ -32,10 +32,7 @@ class BiasConstants:
 @dataclass(frozen=True)
 class BandwidthSelection:
     h: float
-    v: int
-    p: int
     case_tag: str
-    bias_estimate: float
     variance_constant: float
 
 
@@ -127,6 +124,7 @@ def mse_bandwidth(
     vanish (boundary region at the pilot scale, or p - v odd); (b) closed
     form with the second-order bias when v >= 1, interior, p - v even;
     (c)/(d) numerical empirical-MSE minimization for v = 0, which raises
+    ``NegativeDensity`` when the density pilot is not positive and
     ``NonPositiveVariance`` when the minimum is the bracket's lower end span / n.
     """
     if not 0 <= v <= p:
@@ -144,15 +142,15 @@ def mse_bandwidth(
         h = closed_form_h(V, B, n, p, v, order)
         if not h > 0:
             raise NonPositiveVariance(f"variance constant {V:.3e} gives bandwidth {h}")
-        return BandwidthSelection(
-            h=h, v=v, p=p, case_tag=tag, bias_estimate=B, variance_constant=V,
-        )
+        return BandwidthSelection(h=h, case_tag=tag, variance_constant=V)
 
     # v = 0: empirical MSE with the quadratic-variance term restoring the
     # trade-off; minimized numerically on log h
-    Ftil = edf(sample, x)
+    Ftil = edf_values(sample, x)
     # at p = 0 the fit has no density coefficient: use the order-2 pilot's F'
-    f_hat = max(derivative_estimate(fit, 1) if p >= 1 else bc.F_p1, 1e-12)
+    f_hat = derivative_estimate(fit, 1) if p >= 1 else bc.F_p1
+    if not f_hat > 0:
+        raise NegativeDensity(f"density pilot {f_hat:.3e} <= 0 at x={x}")
     mom = moments(kernel, fit.region, p)
     z = np.linalg.solve(mom.S, selector(p, BasisKind.STANDARD, 0))
     V2 = 2.0 * f_hat * Ftil * (1.0 - Ftil) * float(z @ mom.Tmat @ z)
@@ -174,11 +172,7 @@ def mse_bandwidth(
     if h <= lo * (1.0 + 1e-6):
         raise NonPositiveVariance(f"empirical MSE falls to the lower end of the bandwidth "
                                   f"bracket [{lo:.4g}, {hi:.4g}]: no interior optimum")
-    return BandwidthSelection(
-        h=h, v=0, p=p, case_tag=tag,
-        bias_estimate=h ** (p + 1) * B1 + h ** (p + 2) * B2,
-        variance_constant=V1,
-    )
+    return BandwidthSelection(h=h, case_tag=tag, variance_constant=V1)
 
 
 def mse_case(region: EvalRegion, p: int, v: int) -> tuple[int, str]:

@@ -36,11 +36,6 @@ def _reason_tag(exc: Exception) -> str:
     return re.sub(r"(?<!^)(?=[A-Z])", "-", type(exc).__name__).lower()
 
 
-def _fail(exc: Exception) -> int:
-    print(f"error: {_reason_tag(exc)}", file=sys.stderr)
-    return 1
-
-
 def render(records, fields, fmt: str) -> str:
     """Records as indented JSON, or as CSV with ``fields`` as the columns.
 
@@ -162,7 +157,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (LpDensError, OSError, ValueError, KeyError, MemoryError, BrokenExecutor) as exc:
-        return _fail(exc)
+        print(f"error: {_reason_tag(exc)}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -29,7 +29,6 @@ class DensityEstimate:
     v: int
     h_used: float | None
     p_point: int
-    p_ci: int
     f_hat: float | None
     se: float | None
     ci_low: float | None
@@ -73,7 +72,6 @@ def _estimate_point(sample, x, p, v, kernel, alpha, h):
         v=v,
         h_used=h,
         p_point=p,
-        p_ci=p + 1,
         f_hat=f_hat,
         se=se,
         ci_low=f_ci - z * se,
@@ -122,7 +120,7 @@ def estimate_grid(
 
 def _failed_point(x, v, p, tag) -> DensityEstimate:
     return DensityEstimate(
-        x=x, v=v, h_used=None, p_point=p, p_ci=p + 1,
+        x=x, v=v, h_used=None, p_point=p,
         f_hat=None, se=None, ci_low=None, ci_high=None,
         m_eff=None, region=None, error=tag,
     )

@@ -105,7 +105,6 @@ class EvalRegion:
     a: float
     b: float
     kind: str  # "interior" | "lower_boundary" | "upper_boundary"
-    c: float  # boundary offset, 0 <= c < 1; unused for interior
 
     @property
     def is_interior(self) -> bool:
@@ -125,10 +124,10 @@ def classify_region(x: float, h: float, support_lower: float, support_upper: flo
             "window truncated at both support endpoints; reduce the bandwidth"
         )
     if lower_trunc:
-        return EvalRegion(a=a, b=1.0, kind="lower_boundary", c=-a)
+        return EvalRegion(a=a, b=1.0, kind="lower_boundary")
     if upper_trunc:
-        return EvalRegion(a=-1.0, b=b, kind="upper_boundary", c=b)
-    return EvalRegion(a=-1.0, b=1.0, kind="interior", c=0.0)
+        return EvalRegion(a=-1.0, b=b, kind="upper_boundary")
+    return EvalRegion(a=-1.0, b=1.0, kind="interior")
 
 
 @dataclass(frozen=True)

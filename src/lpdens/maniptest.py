@@ -64,10 +64,6 @@ class ManipulationTestResult:
 MODELS = ("unrestricted", "restricted", "separate")
 
 
-def _two_sided_p(T: float) -> float:
-    return float(2.0 * ndtr(-abs(T)))
-
-
 def _clamp_h(h: float, side: Sample) -> float:
     # keep the window inside the side's support so the fit region stays a
     # plain boundary region rather than a doubly truncated one; a side whose
@@ -192,7 +188,7 @@ def cutoff_test(
         f_plus=f_plus,
         se_diff=se,
         T=T,
-        p_value=_two_sided_p(T),
+        p_value=float(2.0 * ndtr(-abs(T))),
     )
 
 

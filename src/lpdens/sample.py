@@ -90,13 +90,8 @@ def load_csv(path, support=None) -> Sample:
     return load_sample(values, support=support)
 
 
-def edf(sample: Sample, t: float) -> float:
-    """Empirical distribution function: fraction of observations <= t."""
-    return float(np.searchsorted(sample.values, t, side="right")) / sample.n
-
-
-def edf_values(sample: Sample, t: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`edf`."""
+def edf_values(sample: Sample, t):
+    """Empirical distribution function at a scalar or array ``t``: fraction of observations <= t."""
     return np.searchsorted(sample.values, t, side="right") / sample.n
 
 

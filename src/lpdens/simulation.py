@@ -131,6 +131,9 @@ class SimDesign:
             raise ValueError("eval_points must be non-empty")
         if not all(map(math.isfinite, self.eval_points)):
             raise ValueError(f"eval_points must be finite, got {self.eval_points}")
+        lo, hi = self.dgp.support
+        if not all(lo <= x <= hi for x in self.eval_points):
+            raise ValueError(f"eval_points must lie in the support [{lo}, {hi}], got {self.eval_points}")
         if self.kernel not in KERNEL_FAMILIES:
             raise ValueError(f"unknown kernel {self.kernel!r}")
         if not 0 <= self.v <= self.p:

@@ -29,7 +29,7 @@ from lpdens.sample import load_sample, split_at_cutoff
 from lpdens.simulation import get_dgp, rep_rng, sample_dgp, true_mse_bandwidth
 from lpdens.variance import gamma_hat, jackknife_se, standard_error
 
-INTERIOR = EvalRegion(a=-1.0, b=1.0, kind="interior", c=0.0)
+INTERIOR = EvalRegion(a=-1.0, b=1.0, kind="interior")
 Z_CRIT = 1.959964
 
 def _pmap(fn, reps, workers=8):
@@ -49,8 +49,8 @@ def _pmap(fn, reps, workers=8):
 def test_criterion_01_quadrature_oracle():
     regions = [
         INTERIOR,
-        EvalRegion(a=-0.4, b=1.0, kind="lower_boundary", c=0.4),
-        EvalRegion(a=-1.0, b=0.7, kind="upper_boundary", c=0.3),
+        EvalRegion(a=-0.4, b=1.0, kind="lower_boundary"),
+        EvalRegion(a=-1.0, b=0.7, kind="upper_boundary"),
     ]
     for reg in regions:
         mom = moments("uniform", reg, 3)

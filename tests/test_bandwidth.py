@@ -10,9 +10,9 @@ from lpdens.bandwidth import (
     preliminary_bandwidth,
 )
 from lpdens import bandwidth, maniptest
-from lpdens.errors import NonPositiveVariance, ZeroBias, ZeroVariance
+from lpdens.errors import NegativeDensity, NonPositiveVariance, ZeroBias, ZeroVariance
 from lpdens.kernels import moments
-from lpdens.lpfit import fit_local
+from lpdens.lpfit import derivative_estimate, fit_local
 from lpdens.sample import load_sample
 
 
@@ -140,6 +140,17 @@ def test_mse_bandwidth_cdf_order_zero_uses_pilot_density(x):
     f_used = sel.variance_constant / float(z @ mom.Gamma @ z)
     assert f_used == pytest.approx(estimate_bias_constants(s, fit).F_p1, rel=1e-12)
     assert f_used == pytest.approx(np.exp(-x), rel=0.15)
+
+
+def test_mse_bandwidth_cdf_negative_density_pilot_raises():
+    # at the 1% quantile of N(0,1) draws the order-3 pilot's density is
+    # negative: with V1 and V2 near 0, the "optimum" would be just where the
+    # bias polynomial crosses zero
+    s = load_sample(np.random.default_rng(0).normal(size=500))
+    x = float(np.quantile(s.values, 0.01))
+    assert derivative_estimate(fit_local(s, x, preliminary_bandwidth(s), 3), 1) < 0
+    with pytest.raises(NegativeDensity, match="density pilot"):
+        mse_bandwidth(s, x, 3, 0)
 
 
 def test_mse_bandwidth_rate_in_n():

@@ -21,7 +21,7 @@ from lpdens.kernels import (
 from lpdens.lpfit import fit_local
 from lpdens.sample import load_sample
 
-INTERIOR = EvalRegion(a=-1.0, b=1.0, kind="interior", c=0.0)
+INTERIOR = EvalRegion(a=-1.0, b=1.0, kind="interior")
 
 
 def test_kernel_values():
@@ -109,10 +109,10 @@ def test_classify_region_cases():
     assert r.is_interior and r.a == -1.0 and r.b == 1.0
 
     r = classify_region(0.1, 0.4, 0.0, 1.0)
-    assert r.kind == "lower_boundary" and r.a == pytest.approx(-0.25) and r.c == pytest.approx(0.25)
+    assert r.kind == "lower_boundary" and r.a == pytest.approx(-0.25)
 
     r = classify_region(0.9, 0.4, 0.0, 1.0)
-    assert r.kind == "upper_boundary" and r.b == pytest.approx(0.25) and r.c == pytest.approx(0.25)
+    assert r.kind == "upper_boundary" and r.b == pytest.approx(0.25)
 
 
 def test_classify_region_degenerate():
@@ -133,7 +133,7 @@ def test_moments_uniform_interior_closed_form():
 
 def test_moments_uniform_lower_boundary_closed_form():
     # a=0, b=1: S = [[1/2,1/4],[1/4,1/6]], c = (1/6, 1/8)
-    reg = EvalRegion(a=0.0, b=1.0, kind="lower_boundary", c=0.0)
+    reg = EvalRegion(a=0.0, b=1.0, kind="lower_boundary")
     mom = moments("uniform", reg, 1)
     assert np.allclose(mom.S, [[0.5, 0.25], [0.25, 1 / 6]], atol=1e-12)
     assert np.allclose(mom.c, [1 / 6, 0.125], atol=1e-12)
@@ -158,7 +158,7 @@ def test_moments_S_odd_entries_vanish_interior(fam):
     pytest.param(fam, region, id=fam + suffix)
     for region, suffix in (
         (INTERIOR, ""),
-        (EvalRegion(a=-0.3, b=1.0, kind="lower_boundary", c=0.3), "-lower_boundary"),
+        (EvalRegion(a=-0.3, b=1.0, kind="lower_boundary"), "-lower_boundary"),
     )
     for fam in ("triangular", "epanechnikov", "uniform")
 ])
@@ -172,7 +172,7 @@ def test_gamma_against_dense_triangle_bruteforce(fam, region):
 
 
 def test_moments_truncated_uniform_closed_form():
-    reg = EvalRegion(a=-0.3, b=1.0, kind="lower_boundary", c=0.3)
+    reg = EvalRegion(a=-0.3, b=1.0, kind="lower_boundary")
     mom = moments("uniform", reg, 3)
     for j in range(4):
         for k in range(4):

@@ -10,7 +10,7 @@ from lpdens.errors import (
     SupportViolation,
     TooFew,
 )
-from lpdens.sample import edf, edf_values, load_csv, load_sample, split_at_cutoff
+from lpdens.sample import edf_values, load_csv, load_sample, split_at_cutoff
 
 
 def test_load_sample_sorts_and_defaults_support():
@@ -73,10 +73,10 @@ def test_load_csv_skips_blank_lines(tmp_path):
 
 def test_edf_right_continuous_step():
     s = load_sample([1.0, 2.0, 2.0, 3.0])
-    assert edf(s, 0.5) == 0.0
-    assert edf(s, 1.0) == 0.25
-    assert edf(s, 2.0) == 0.75  # ties counted inclusively
-    assert edf(s, 3.0) == 1.0
+    assert edf_values(s, 0.5) == 0.0
+    assert edf_values(s, 1.0) == 0.25
+    assert edf_values(s, 2.0) == 0.75  # ties counted inclusively
+    assert edf_values(s, 3.0) == 1.0
     assert np.allclose(edf_values(s, np.array([1.0, 2.0])), [0.25, 0.75])
     assert np.array_equal(s.F, [0.25, 0.75, 0.75, 1.0])
     assert not s.F.flags.writeable

@@ -337,13 +337,14 @@ def test_design_validation():
     ("eval_points", ()),
     ("eval_points", (float("nan"), 1.0)),
     ("eval_points", (float("inf"),)),
+    ("eval_points", (-0.05,)),
     ("bandwidth_rule", "mse"),
     ("bandwidth_rule", -1.0),
     ("bandwidth_rule", 0.0),
     ("bandwidth_rule", float("nan")),
     ("bandwidth_rule", float("inf")),
 ], ids=["kernel", "v-above-p", "v-negative", "no-eval-points", "eval-point-nan",
-        "eval-point-inf", "rule-name",
+        "eval-point-inf", "eval-point-outside-support", "rule-name",
         "multiple-negative", "multiple-zero", "multiple-nan", "multiple-inf"])
 def test_design_rejects_bad_fields(field, value):
     # rejected when the design is built, before any replication runs

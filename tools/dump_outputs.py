@@ -132,6 +132,12 @@ def main(src, out_path):
         call(f"true_mse_bandwidth {name} x={x} n=400 p={p} v={v}", lp.true_mse_bandwidth,
              lp.get_dgp(name), x, 400, p, v)
     call("default_grid rounded 25", lp.default_grid, samples["rounded"], 25)
+    # typed failures: a negative v = 0 density pilot, an evaluation point outside the support
+    s = lp.load_sample(np.random.default_rng(0).normal(size=500))
+    call("mse_bandwidth normal500 x=q0.01 p=3 v=0", lp.mse_bandwidth,
+         s, float(np.quantile(s.values, 0.01)), 3, 0)
+    call("SimDesign exponential x=-0.05", lp.SimDesign.from_dict,
+         {"dgp": "exponential", "eval_points": (-0.05,), "n": 500, "reps": 40})
 
     regions = {"interior": (0.5, 0.2), "lower": (0.05, 0.2), "lower-edge": (0.0, 0.2), "upper": (0.9, 0.2)}
     for family in kernels.KERNEL_FAMILIES:
