@@ -8,7 +8,7 @@ order-p fit's standard error is never used for the interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -19,7 +19,8 @@ from .lpfit import derivative_estimate, fit_local
 from .sample import Sample
 from .variance import standard_error
 
-#: keys of ``DensityEstimate.record``, also the CSV columns (order is contractual)
+#: keys of ``DensityEstimate.record``, in the order its fields are declared;
+#: also the CSV columns (order is contractual)
 FIELDS = ("x", "v", "h", "p", "f_hat", "se", "ci_low", "ci_high", "m_eff", "region", "error")
 
 
@@ -38,10 +39,7 @@ class DensityEstimate:
     error: str | None = None
 
     def record(self) -> dict:
-        return dict(zip(FIELDS, (
-            self.x, self.v, self.h_used, self.p_point, self.f_hat, self.se,
-            self.ci_low, self.ci_high, self.m_eff, self.region, self.error,
-        )))
+        return dict(zip(FIELDS, astuple(self)))
 
 
 def default_grid(sample: Sample, n_points: int) -> np.ndarray:

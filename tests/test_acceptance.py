@@ -9,7 +9,6 @@ comments); the criterion itself asserts the self-consistent value.
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -31,10 +30,6 @@ from lpdens.variance import gamma_hat, jackknife_se, standard_error
 
 INTERIOR = EvalRegion(a=-1.0, b=1.0, kind="interior")
 Z_CRIT = 1.959964
-
-def _pmap(fn, reps, workers=8):
-    with ThreadPoolExecutor(workers) as ex:
-        return list(ex.map(fn, range(reps)))
 
 
 # --------------------------------------------------------------------------
@@ -170,7 +165,7 @@ def test_criterion_05_zero_smoothing_bias():
             derivative_estimate(fit_local(s, x, 0.2, 2), 1) for x in xs
         ]
 
-    est = np.array(_pmap(one, 1000))
+    est = np.array([one(r) for r in range(1000)])
     bias = est.mean(axis=0) - 1.0
     assert np.max(np.abs(bias)) < 0.02
 
@@ -204,7 +199,7 @@ def calibration_cells():
                 jackknife_se(s, fit, 1),
             )
 
-        arr = np.array(_pmap(one, 2000))
+        arr = np.array([one(r) for r in range(2000)])
         out[(name, x)] = {"f": arr[:, 0], "se": arr[:, 1], "jk": arr[:, 2]}
     return out
 
@@ -282,9 +277,9 @@ def test_criterion_09_manipulation_size_and_power():
         s = load_sample(x, support=(0.0, 2.0))
         return abs(rbc_test(s, 1.0, p=2).T) >= Z_CRIT
 
-    size = float(np.mean(_pmap(rep_h0, 2000)))
+    size = float(np.mean([rep_h0(r) for r in range(2000)]))
     assert 0.03 <= size <= 0.08, f"H0 size {size:.4f}"
-    power = float(np.mean(_pmap(rep_h1, 2000)))
+    power = float(np.mean([rep_h1(r) for r in range(2000)]))
     assert power > 0.8, f"H1 power {power:.4f}"
 
 

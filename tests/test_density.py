@@ -42,6 +42,15 @@ def test_estimate_grid_schema_and_values(exp_sample):
         assert e.f_hat == pytest.approx(np.exp(-e.x), abs=0.15)
         assert e.ci_low < e.ci_high
         assert e.se > 0 and e.m_eff > 0
+    # each record value is its attribute, for an estimate and a soft failure
+    failed = estimate_grid(exp_sample, [-1.0])[0]
+    assert failed.error == "outside-support"
+    for e in (*out, failed):
+        assert e.record() == {
+            "x": e.x, "v": e.v, "h": e.h_used, "p": e.p_point, "f_hat": e.f_hat,
+            "se": e.se, "ci_low": e.ci_low, "ci_high": e.ci_high, "m_eff": e.m_eff,
+            "region": e.region, "error": e.error,
+        }
 
 
 def test_estimate_grid_ci_centered_at_higher_order(exp_sample):

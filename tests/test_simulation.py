@@ -290,7 +290,7 @@ def test_run_design_leaves_no_worker_behind(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["truncated_normal", "exponential", "uniform01"])
-def test_dgp_pickles_by_name(name):
+def test_dgp_pickles_by_class(name):
     dgp = get_dgp(name)
     back = pickle.loads(pickle.dumps(dgp))
     assert back.name == name and back.support == dgp.support
