@@ -156,7 +156,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (LpDensError, OSError, ValueError, KeyError, MemoryError, BrokenExecutor) as exc:
+    except (LpDensError, OSError, ValueError, MemoryError, BrokenExecutor) as exc:
         print(f"error: {_reason_tag(exc)}", file=sys.stderr)
         return 1
 

@@ -98,6 +98,8 @@ def estimate_grid(
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise EmptyGrid("empty evaluation grid")
+    if not 0 <= v <= p:
+        raise ValueError(f"need 0 <= v <= p, got v={v}, p={p}")
     if not 0.0 < alpha < 1.0:
         raise InvalidAlpha(f"alpha={alpha} not in (0, 1)")
     if h is not None and not (np.isfinite(h) and h > 0):

@@ -33,10 +33,6 @@ class SingularDesign(LpDensError):
     """Local design matrix could not be factorized."""
 
 
-class OrderOutOfRange(LpDensError):
-    """Requested derivative order is not available from the fit."""
-
-
 class NegativeDensity(LpDensError):
     """Plug-in variance is undefined for a nonpositive density estimate."""
 

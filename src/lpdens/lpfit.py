@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import InsufficientData, OrderOutOfRange, SingularDesign
+from .errors import InsufficientData, SingularDesign
 from .kernels import (
     BasisKind,
     EvalRegion,
@@ -146,8 +146,6 @@ def fit_local(
 
 
 def derivative_estimate(fit: LocalFit, v: int, side: str | None = None) -> float:
-    """v-th derivative estimate v! e_v' beta; v=1 is the density."""
-    if not 0 <= v <= fit.p:
-        raise OrderOutOfRange(f"v={v} not in [0, {fit.p}]")
+    """v-th derivative estimate v! e_v' beta; v=1 is the density. ValueError if the basis lacks v."""
     idx = selector_index(fit.p, fit.basis, v, side)
     return factorial(v) * float(fit.beta[idx])

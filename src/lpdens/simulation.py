@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
-from dataclasses import dataclass, fields
+import sys
+from dataclasses import MISSING, dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -123,47 +125,49 @@ class SimDesign:
     seed: int = 0
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
-        if self.n < 10:
-            raise ValueError("n must be >= 10")
-        if not self.eval_points:
-            raise ValueError("eval_points must be non-empty")
-        if not all(map(math.isfinite, self.eval_points)):
-            raise ValueError(f"eval_points must be finite, got {self.eval_points}")
+        # every design, from Python, ``from_dict`` or ``dataclasses.replace``, is checked here
+        def number(x, kind=numbers.Real):
+            return isinstance(x, kind) and not isinstance(x, bool)  # JSON true is an int
+
+        def finite(x):  # also false for an int beyond the float range
+            return number(x) and abs(x) <= sys.float_info.max
+
+        size = np.iinfo(np.intp).max  # no array holds more draws, reps or coefficients
+        for name, least, most in (("n", 10, size), ("reps", 1, size), ("p", 0, size),
+                                  ("v", 0, self.p), ("seed", 0, 2**64 - 1)):
+            value = getattr(self, name)
+            if not (number(value, numbers.Integral) and least <= value <= most):
+                raise ValueError(f"{name} must be an integer in [{least}, {most}], got {value!r}")
+        pts = self.eval_points
+        if not (isinstance(pts, (tuple, list)) and pts and all(map(finite, pts))):
+            raise ValueError(f"eval_points must be a non-empty list of finite numbers, got {pts!r}")
+        object.__setattr__(self, "eval_points", tuple(map(float, pts)))
         lo, hi = self.dgp.support
         if not all(lo <= x <= hi for x in self.eval_points):
             raise ValueError(f"eval_points must lie in the support [{lo}, {hi}], got {self.eval_points}")
         if self.kernel not in KERNEL_FAMILIES:
             raise ValueError(f"unknown kernel {self.kernel!r}")
-        if not 0 <= self.v <= self.p:
-            raise ValueError(f"need 0 <= v <= p, got v={self.v}, p={self.p}")
         rule = self.bandwidth_rule
-        if rule not in ("mse_true", "mse_estimated") and not (
-            isinstance(rule, (int, float)) and math.isfinite(rule) and rule > 0
-        ):
-            raise ValueError(f"bandwidth_rule must be 'mse_true', 'mse_estimated' "
-                             f"or a finite multiple > 0, got {rule!r}")
+        if rule not in ("mse_true", "mse_estimated"):
+            if not (finite(rule) and rule > 0):
+                raise ValueError(f"bandwidth_rule must be 'mse_true', 'mse_estimated' "
+                                 f"or a finite multiple > 0, got {rule!r}")
+            object.__setattr__(self, "bandwidth_rule", float(rule))
 
     @classmethod
-    def from_dict(cls, spec: dict) -> "SimDesign":
+    def from_dict(cls, spec) -> "SimDesign":
+        """The design a JSON object describes; ``dgp`` names a built-in DGP, ``{"multiple": m}`` is m."""
+        if not isinstance(spec, dict):
+            raise ValueError(f"a design must be a JSON object, got {type(spec).__name__}")
         unknown = sorted(set(spec) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown design keys {unknown}")
-        rule = spec.get("bandwidth_rule", "mse_true")
-        if isinstance(rule, dict):
-            rule = float(rule["multiple"])
-        return cls(
-            dgp=get_dgp(spec["dgp"]),
-            eval_points=tuple(float(x) for x in spec["eval_points"]),
-            n=int(spec["n"]),
-            reps=int(spec["reps"]),
-            p=int(spec.get("p", 2)),
-            v=int(spec.get("v", 1)),
-            kernel=spec.get("kernel", "triangular"),
-            bandwidth_rule=rule,
-            seed=int(spec.get("seed", 0)),
-        )
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in spec]
+        if unknown or missing:
+            raise ValueError(f"unknown design keys {unknown}, missing design keys {missing}")
+        spec = {**spec, "dgp": get_dgp(spec["dgp"])}
+        rule = spec.get("bandwidth_rule")
+        if isinstance(rule, dict) and rule.keys() == {"multiple"}:
+            spec["bandwidth_rule"] = rule["multiple"]
+        return cls(**spec)
 
 
 def rep_rng(seed: int, rep: int) -> np.random.Generator:
@@ -262,7 +266,7 @@ def run_design(design: SimDesign, threads: int = 1) -> list[dict]:
 
     hs = (None,) * len(design.eval_points)
     if design.bandwidth_rule != "mse_estimated":
-        mult = 1.0 if design.bandwidth_rule == "mse_true" else float(design.bandwidth_rule)
+        mult = 1.0 if design.bandwidth_rule == "mse_true" else design.bandwidth_rule
         hs = tuple(mult * true_mse_bandwidth(
             design.dgp, x, design.n, design.p, design.v, design.kernel
         ) for x in design.eval_points)

@@ -241,6 +241,58 @@ def test_simulate_malformed_design(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+_DESIGN = {"dgp": "exponential", "eval_points": [1.0], "n": 300, "reps": 4, "seed": 6}
+
+
+@pytest.mark.parametrize("design", [
+    {**_DESIGN, "seed": -1},
+    {**_DESIGN, "seed": 2**64},
+    {**_DESIGN, "eval_points": 1.0},
+    [_DESIGN],
+    {**_DESIGN, "n": None},
+    {**_DESIGN, "n": 100.9},
+    {**_DESIGN, "reps": 2.5},
+    {**_DESIGN, "p": 2.7},
+    {**_DESIGN, "seed": 1.5},
+    {**_DESIGN, "bandwidth_rule": {"multiple": True}},
+    {**_DESIGN, "bandwidth_rule": {"factor": 2.0}},
+    {k: v for k, v in _DESIGN.items() if k != "n"},
+], ids=["seed-negative", "seed-too-large", "eval-points-scalar", "array", "n-null",
+        "n-float", "reps-float", "p-float", "seed-float", "multiple-bool", "rule-object",
+        "n-missing"])
+def test_simulate_malformed_design_is_a_value_error(tmp_path, capsys, design):
+    # rejected before any worker starts: no traceback, no truncated value, no child left
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(design))
+    code = main(["simulate", "--design", str(path)])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err.splitlines() == ["error: value-error"]
+    assert multiprocessing.active_children() == []
+
+
+def test_simulate_negative_seed_flag_is_a_value_error(design_json, capsys):
+    # the --seed override passes the same checks as a seed in the file
+    code = main(["simulate", "--design", design_json, "--seed", "-2", "--threads", "2"])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err.splitlines() == ["error: value-error"]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("orders", [["--v", "3"], ["--p", "-1"]], ids=["v-above-p", "p-negative"])
+@pytest.mark.parametrize("bandwidth", [[], ["--bandwidth", "0.3"]], ids=["auto", "fixed"])
+def test_density_order_outside_zero_to_p_is_a_value_error(data_csv, capsys, orders, bandwidth):
+    # a fixed bandwidth used to skip the order check and fail every point instead
+    code = main(["density", "--input", data_csv, "--grid", "5"] + orders + bandwidth)
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err.splitlines() == ["error: value-error"]
+
+
 def test_simulate_zero_reps(tmp_path, capsys):
     bad = tmp_path / "reps0.json"
     bad.write_text(json.dumps({

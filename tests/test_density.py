@@ -95,6 +95,10 @@ def test_estimate_grid_validation(exp_sample):
     for h in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             estimate_grid(exp_sample, [1.0], h=h)
+    # one order check for the whole grid, with a fixed bandwidth as with the automatic one
+    for p, v, h in ((2, 3, 0.3), (2, 3, None), (2, -1, 0.3), (-1, 1, 0.3)):
+        with pytest.raises(ValueError, match="0 <= v <= p"):
+            estimate_grid(exp_sample, [1.0, 2.0], p=p, v=v, h=h)
 
 
 def test_json_and_csv_emitters(exp_sample):

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import wls_beta
 
-from lpdens.errors import InsufficientData, OrderOutOfRange, SingularDesign
+from lpdens.errors import InsufficientData, SingularDesign
 from lpdens.kernels import BasisKind
 from lpdens.lpfit import derivative_estimate, fit_local
 from lpdens.sample import load_sample
@@ -75,7 +75,7 @@ def test_singular_design_on_duplicates():
 
 def test_derivative_order_guard(normal_sample):
     fit = fit_local(normal_sample, 0.0, 0.6, 2)
-    with pytest.raises(OrderOutOfRange):
+    with pytest.raises(ValueError):
         derivative_estimate(fit, 3)
 
 

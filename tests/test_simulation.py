@@ -7,6 +7,7 @@ import os
 import pickle
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +335,13 @@ def test_design_validation():
     ("kernel", "gaussian"),
     ("v", 3),
     ("v", -1),
+    ("n", 500.5),
+    ("n", 2**63),
+    ("reps", True),
+    ("seed", -1),
+    ("seed", 2**64),
+    ("eval_points", 1.0),
+    ("eval_points", (10**400,)),
     ("eval_points", ()),
     ("eval_points", (float("nan"), 1.0)),
     ("eval_points", (float("inf"),)),
@@ -343,9 +351,11 @@ def test_design_validation():
     ("bandwidth_rule", 0.0),
     ("bandwidth_rule", float("nan")),
     ("bandwidth_rule", float("inf")),
-], ids=["kernel", "v-above-p", "v-negative", "no-eval-points", "eval-point-nan",
-        "eval-point-inf", "eval-point-outside-support", "rule-name",
-        "multiple-negative", "multiple-zero", "multiple-nan", "multiple-inf"])
+    ("bandwidth_rule", True),
+], ids=["kernel", "v-above-p", "v-negative", "n-not-integer", "n-past-array-size", "reps-bool",
+        "seed-negative", "seed-too-large", "eval-points-scalar", "eval-point-past-float-range",
+        "no-eval-points", "eval-point-nan", "eval-point-inf", "eval-point-outside-support", "rule-name",
+        "multiple-negative", "multiple-zero", "multiple-nan", "multiple-inf", "multiple-bool"])
 def test_design_rejects_bad_fields(field, value):
     # rejected when the design is built, before any replication runs
     spec = dict(dgp=get_dgp("exponential"), eval_points=(1.0,), n=400, reps=4, p=2)
@@ -369,6 +379,15 @@ def test_design_file_roundtrip(tmp_path):
     design = load_design(str(path))
     assert design.bandwidth_rule == 0.5
     assert design.eval_points == (0.5, 1.5)
+
+
+def test_design_file_numbers_become_floats():
+    # JSON integers where floats are meant print as before: x = 1.0, bw_rule 2.0
+    design = SimDesign.from_dict({"dgp": "exponential", "eval_points": [1], "n": np.int64(300),
+                                  "reps": 4, "bandwidth_rule": {"multiple": 2}})
+    assert design.eval_points == (1.0,) and type(design.eval_points[0]) is float
+    assert design.bandwidth_rule == 2.0 and type(design.bandwidth_rule) is float
+    assert replace(design, seed=3).eval_points == (1.0,)
 
 
 def test_design_file_rejects_unknown_keys():

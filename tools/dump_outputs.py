@@ -5,7 +5,8 @@
 ``SRC`` is the ``src`` directory of the checkout to import lpdens from. Every
 call is deterministic, so two checkouts that compute the same results write
 byte-identical files: ``cmp old.json new.json`` checks that a refactor
-changed no bit. Each entry holds the ``repr`` of a call's result, with arrays
+changed no bit, and ``tools/compare_dumps.py old.json new.json`` names the
+labels that differ. Each entry holds the ``repr`` of a call's result, with arrays
 as lists of exact float reprs, or the typed error it raised and its message.
 The estimator calls run on three samples: raw N(0,1) draws, the same draws
 rounded to 0.1 (ties), and Exponential(1) draws on the support (0, inf). The
@@ -132,12 +133,19 @@ def main(src, out_path):
         call(f"true_mse_bandwidth {name} x={x} n=400 p={p} v={v}", lp.true_mse_bandwidth,
              lp.get_dgp(name), x, 400, p, v)
     call("default_grid rounded 25", lp.default_grid, samples["rounded"], 25)
-    # typed failures: a negative v = 0 density pilot, an evaluation point outside the support
+    # typed failures: a negative v = 0 density pilot, an evaluation point outside the
+    # support, a negative seed, a non-integer n, an order above p with a fixed bandwidth
     s = lp.load_sample(np.random.default_rng(0).normal(size=500))
     call("mse_bandwidth normal500 x=q0.01 p=3 v=0", lp.mse_bandwidth,
          s, float(np.quantile(s.values, 0.01)), 3, 0)
     call("SimDesign exponential x=-0.05", lp.SimDesign.from_dict,
          {"dgp": "exponential", "eval_points": (-0.05,), "n": 500, "reps": 40})
+    call("SimDesign exponential seed=-1", lp.SimDesign.from_dict,
+         {"dgp": "exponential", "eval_points": (1.0,), "n": 500, "reps": 40, "seed": -1})
+    call("SimDesign exponential n=500.5", lp.SimDesign.from_dict,
+         {"dgp": "exponential", "eval_points": (1.0,), "n": 500.5, "reps": 40})
+    call("estimate_grid raw p=2 v=3 h=0.3", lp.estimate_grid,
+         samples["raw"], (0.0,), 2, 3, h=0.3)
 
     regions = {"interior": (0.5, 0.2), "lower": (0.05, 0.2), "lower-edge": (0.0, 0.2), "upper": (0.9, 0.2)}
     for family in kernels.KERNEL_FAMILIES:
