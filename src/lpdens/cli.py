@@ -11,7 +11,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import re
 import sys
 from concurrent.futures import BrokenExecutor
@@ -143,11 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--design", required=True, help="JSON design file")
     output(sp)
     sp.add_argument("--seed", type=int, default=None, help="override the design seed")
-    # a string default goes through type=int only when simulate is parsed,
-    # so a malformed LPDENS_THREADS is a usage error there and nowhere else
-    sp.add_argument("--threads", type=int, default=os.environ.get("LPDENS_THREADS", "1"),
-                    help="worker processes (default: LPDENS_THREADS or 1); "
-                         "output is worker-count invariant")
+    sp.add_argument("--threads", type=int, default=1,
+                    help="worker processes (default: 1); output is worker-count invariant")
     sp.set_defaults(func=cmd_simulate)
     return parser
 

@@ -50,7 +50,6 @@ class BasisKind(enum.Enum):
     RESTRICTED = "restricted"  # [1, u*1{u<0}, u*1{u>=0}, u^2..u^p], dim p+2
 
 
-@lru_cache(maxsize=None)
 def _columns(p: int, basis: BasisKind) -> tuple:
     """(power, side) of each basis column; side None is shared by both sides."""
     shared = [(j, None) for j in range(p + 1)]
@@ -141,7 +140,7 @@ class KernelMoments:
     Tmat: np.ndarray
 
     def __post_init__(self):
-        # cached and shared across threads: an in-place edit would poison every later call
+        # memoized: every later call shares these arrays (lpdens starts no threads)
         for a in (self.S, self.c, self.c_tilde, self.Gamma, self.Tmat):
             a.flags.writeable = False
 
@@ -152,22 +151,24 @@ def _gauss_legendre(a: float, b):
     return a + half * (1.0 + _GL_X), half * _GL_W
 
 
-def _segments(a: float, b: float):
-    # split at 0, the triangular kernel's kink
-    if a < 0.0 < b:
-        return [(a, 0.0), (0.0, b)]
-    return [(a, b)]
-
-
 @lru_cache(maxsize=512)
-def _moments_cached(family: str, a: float, b: float, p: int):
+def moments(family: str, region: EvalRegion, p: int) -> KernelMoments:
+    """Standard-basis moment matrices for a kernel family over ``region`` at order ``p``."""
+    if p < 0:
+        raise ValueError("p must be nonnegative")
+    if family not in KERNEL_FAMILIES:
+        raise ValueError(f"unknown kernel family {family!r}")
+    a, b = region.a, region.b
+    if b - a < _DEGENERATE_TOL:
+        raise DegenerateRegion(f"region [{a}, {b}] is degenerate")
     d = p + 1
     S = np.zeros((d, d))
     c = np.zeros(d)
     c_tilde = np.zeros(d)
     Tmat = np.zeros((d, d))
     Gamma = np.zeros((d, d))
-    segs = _segments(a, b)
+    # split at 0, the triangular kernel's kink
+    segs = [(a, 0.0), (0.0, b)] if a < 0.0 < b else [(a, b)]
 
     # per-segment 1-D moments; m0 = int r K, m1 = int u r K reused for Gamma
     seg_m0, seg_m1 = [], []
@@ -200,17 +201,6 @@ def _moments_cached(family: str, a: float, b: float, p: int):
             Gamma += cross + cross.T
 
     return KernelMoments(S=S, c=c, c_tilde=c_tilde, Gamma=Gamma, Tmat=Tmat)
-
-
-def moments(family: str, region: EvalRegion, p: int) -> KernelMoments:
-    """Standard-basis moment matrices for a kernel family over ``region`` at order ``p``."""
-    if p < 0:
-        raise ValueError("p must be nonnegative")
-    if family not in KERNEL_FAMILIES:
-        raise ValueError(f"unknown kernel family {family!r}")
-    if region.b - region.a < _DEGENERATE_TOL:
-        raise DegenerateRegion(f"region [{region.a}, {region.b}] is degenerate")
-    return _moments_cached(family, region.a, region.b, p)
 
 
 def factorial(v: int) -> float:

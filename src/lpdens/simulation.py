@@ -254,11 +254,11 @@ def run_design(design: SimDesign, threads: int = 1) -> list[dict]:
     failed has None for bias through size.
 
     ``threads`` worker processes (at most ``reps`` and the CPU count) each
-    run one contiguous range of reps. They are forked, so they inherit the
-    warm ``moments`` cache; the fixed bandwidths travel with each range. The
-    pool raises ``ValueError`` when ``threads`` is below 1, and
-    ``BrokenProcessPool`` when a worker dies. Every worker is joined before
-    this returns or raises.
+    run one contiguous range of reps; the fixed bandwidths travel with each
+    range. Workers are forked with the warm ``moments`` memo, which only the
+    v = 0 ``mse_estimated`` bandwidth pilots read. The pool raises
+    ``ValueError`` when ``threads`` is below 1, and ``BrokenProcessPool``
+    when a worker dies. Every worker is joined before this returns or raises.
     """
     # imported here so that `import lpdens`, and so every CLI start, skips multiprocessing
     import multiprocessing

@@ -330,23 +330,12 @@ def test_help_lists_defaults(capsys):
     assert "--threads" in capsys.readouterr().out
 
 
-def test_threads_env_fallback(design_json, monkeypatch, capsys):
+def test_threads_default_ignores_environment(design_json, monkeypatch):
+    # --threads is the only worker-count setting; no environment variable sets it
     monkeypatch.setenv("LPDENS_THREADS", "2")
     from lpdens.cli import build_parser
     args = build_parser().parse_args(["simulate", "--design", design_json])
-    assert args.threads == 2
-
-
-def test_malformed_threads_env_fails_only_simulate(data_csv, design_json, monkeypatch, capsys):
-    monkeypatch.setenv("LPDENS_THREADS", "abc")
-    assert main(["test", "--input", data_csv, "--cutoff", "1.0"]) == 0
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--design", design_json])
-    err = capsys.readouterr().err
-    assert exc.value.code == 2
-    assert "--threads: invalid int value: 'abc'" in err
-    assert "Traceback" not in err
+    assert args.threads == 1
 
 
 @pytest.mark.parametrize("rule", ["mse_true", {"multiple": 0.5}])

@@ -190,11 +190,21 @@ def test_tmat_uniform_interior():
 
 
 def test_cached_moments_are_read_only():
-    # the cached arrays are shared by every later call (and by run_design's
-    # threads), so an in-place edit must raise instead of poisoning the cache
+    # the memoized arrays are shared by every later call, so an in-place
+    # edit must raise instead of poisoning the memo
     mom = moments("triangular", INTERIOR, 2)
     S = mom.S.copy()
     for name in ("S", "c", "c_tilde", "Gamma", "Tmat"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(mom, name)[...] *= 2
     assert np.array_equal(moments("triangular", INTERIOR, 2).S, S)
+
+
+def test_moments_memo_keys_on_equal_regions():
+    # the v = 0 estimated-bandwidth pilots build a fresh EvalRegion at every
+    # call; an equal region must hit the memo
+    moments.cache_clear()
+    first = moments("triangular", EvalRegion(a=-1.0, b=1.0, kind="interior"), 2)
+    again = moments("triangular", EvalRegion(a=-1.0, b=1.0, kind="interior"), 2)
+    assert moments.cache_info().hits == 1
+    assert again is first

@@ -180,6 +180,22 @@ def test_gamma_hat_bit_identical_to_dense_outer_form(large_samples, data, basis,
     assert np.array_equal(gamma_hat(s, fit), want)
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than float64 here")
+@pytest.mark.parametrize("data", ["raw", "heaped"])
+def test_gamma_hat_matches_long_double_dense_oracle(data):
+    # an accuracy gate that any summation order of Gamma-hat must pass: the
+    # dense min(F_j, F_k) - F_j F_k form, evaluated in long double
+    raw = np.random.default_rng(0).normal(size=2_000)
+    s = load_sample(raw if data == "raw" else np.round(raw / 0.05) * 0.05)
+    fit = fit_local(s, 0.0, 0.5, 2, basis=BasisKind.UNRESTRICTED)
+    A = fit.Rw.astype(np.longdouble)
+    F = s.F[fit.window].astype(np.longdouble)
+    want = (A.T @ (np.minimum.outer(F, F) - np.outer(F, F)) @ A) / np.longdouble(fit.n) ** 2
+    err = np.max(np.abs(gamma_hat(s, fit) - want))
+    assert err <= 1e-13 * np.max(np.abs(want))
+
+
 def test_gamma_hat_peak_memory_is_one_matrix(large_samples):
     # a fresh thread starts with an empty workspace, which grows twice: to a
     # window almost as large, then to this one, freeing the old buffer first
