@@ -2,10 +2,11 @@
 
 The moment matrices (``S``, ``c``, ``c_tilde``, ``Gamma``, ``Tmat``) are the
 bias/variance constants of the local fit in the standard basis over the
-(possibly truncated) kernel window. The kernels are piecewise polynomial
-with their only kink at u = 0, so one 20-node Gauss-Legendre rule per
-segment split at 0 computes them exactly: the integrands have degree
-<= 2p+6 and the rule is exact up to degree 39, i.e. for p <= 16.
+(possibly truncated) kernel window. The kernels are piecewise polynomial with
+their only kink at u = 0, so one 20-node Gauss-Legendre rule per segment split
+at 0 computes them exactly: the largest integrands, u^(2p+2) K^2 and Gamma's
+G G' with G(t) = int_t^b r K, have degree 2p+6, and the rule is exact up to
+degree 39, i.e. for p <= 16.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import DegenerateRegion
 KERNEL_FAMILIES = ("triangular", "epanechnikov", "uniform")
 
 #: Gauss-Legendre nodes per segment: exact up to degree 39, and the moment
-#: integrands have degree <= 2p+6 (Gamma's outer one), so exact for p <= 16.
+#: integrands have degree <= 2p+6 (Gamma's G G'), so exact for p <= 16.
 _GL_NODES = 20
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_NODES)
 _REGION_TOL = 1e-12
@@ -145,15 +146,22 @@ class KernelMoments:
             a.flags.writeable = False
 
 
-def _gauss_legendre(a: float, b):
-    """Gauss-Legendre nodes and weights on [a, b]; an array ``b`` adds a leading axis."""
-    half = (np.asarray(b) - a)[..., None] / 2.0
+def _gauss_legendre(a, b: float):
+    """Gauss-Legendre nodes and weights on [a, b]; an array ``a`` adds a leading axis."""
+    a = np.asarray(a)[..., None]
+    half = (b - a) / 2.0
     return a + half * (1.0 + _GL_X), half * _GL_W
 
 
 @lru_cache(maxsize=512)
 def moments(family: str, region: EvalRegion, p: int) -> KernelMoments:
-    """Standard-basis moment matrices for a kernel family over ``region`` at order ``p``."""
+    """Standard-basis moment matrices for a kernel family over ``region`` at order ``p``.
+
+    With mu_k = int_a^b u^k K and nu_k = int_a^b u^k K^2: S = [mu_{i+j}] and Tmat = [nu_{i+j}]
+    are Hankel, c = mu_{p+1..2p+1} and c_tilde = mu_{p+2..2p+2}. As min(u, v) = a +
+    int_a^b 1{t<u} 1{t<v} dt on [a, b], Gamma = int int min(u, v) r(u) r(v)' K(u) K(v)
+    = a m0 m0' + int_a^b G G' dt, with G(t) = int_t^b r K and m0 = G(a) = mu_{0..p}.
+    """
     if p < 0:
         raise ValueError("p must be nonnegative")
     if family not in KERNEL_FAMILIES:
@@ -161,46 +169,25 @@ def moments(family: str, region: EvalRegion, p: int) -> KernelMoments:
     a, b = region.a, region.b
     if b - a < _DEGENERATE_TOL:
         raise DegenerateRegion(f"region [{a}, {b}] is degenerate")
-    d = p + 1
-    S = np.zeros((d, d))
-    c = np.zeros(d)
-    c_tilde = np.zeros(d)
-    Tmat = np.zeros((d, d))
-    Gamma = np.zeros((d, d))
-    # split at 0, the triangular kernel's kink
-    segs = [(a, 0.0), (0.0, b)] if a < 0.0 < b else [(a, b)]
-
-    # per-segment 1-D moments; m0 = int r K, m1 = int u r K reused for Gamma
-    seg_m0, seg_m1 = [], []
-    for sa, sb in segs:
-        # GL nodes are interior to the segment, so the triangular-kernel
-        # kink is never sampled at the split point itself
+    if a < -1.0 or b > 1.0:
+        raise ValueError(f"region [{a}, {b}] leaves the kernel's support [-1, 1]")
+    r = np.arange(p + 1)
+    mu, nu, Gamma = np.zeros(2 * p + 3), np.zeros(2 * p + 3), np.zeros((p + 1, p + 1))
+    # split at 0, the triangular kernel's kink (GL nodes never sample it), and walk down:
+    # G(t) is an inner rule on [t, sb] plus mu[r], so far int r K over the segments above
+    for sa, sb in [(0.0, b), (a, 0.0)] if a < 0.0 < b else [(a, b)]:
         xs, ws = _gauss_legendre(sa, sb)
-        R = basis_matrix(xs, p, BasisKind.STANDARD)
+        ts, wt = _gauss_legendre(xs, sb)
+        V = np.vander(ts.ravel(), p + 1, increasing=True).reshape(*ts.shape, p + 1)
+        G = mu[r] + np.einsum("ik,ikj->ij", wt * kernel_value(family, ts), V)
+        Gamma += (G * ws[:, None]).T @ G
         K = kernel_value(family, xs)
-        wk = ws * K
-        S += (R * wk[:, None]).T @ R
-        c += R.T @ (wk * xs ** (p + 1))
-        c_tilde += R.T @ (wk * xs ** (p + 2))
-        Tmat += (R * (wk * K)[:, None]).T @ R
-        seg_m0.append(R.T @ wk)
-        seg_m1.append(R.T @ (wk * xs))
-
-        # Gamma diagonal block via two triangles (min(u,v) kink on u=v):
-        # inner[i] = int_{sa}^{xs[i]} v r(v) K(v) dv, one rule per outer node
-        vs, wv = _gauss_legendre(sa, xs)
-        Rv = basis_matrix(vs.ravel(), p, BasisKind.STANDARD).reshape(vs.shape + (-1,))
-        inner = np.einsum("ik,ikj->ij", wv * vs * kernel_value(family, vs), Rv)
-        L = (R * wk[:, None]).T @ inner
-        Gamma += L + L.T
-
-    # off-diagonal segment pairs are separable since min is then one-sided
-    for si in range(len(segs)):
-        for sj in range(si + 1, len(segs)):
-            cross = np.outer(seg_m1[si], seg_m0[sj])
-            Gamma += cross + cross.T
-
-    return KernelMoments(S=S, c=c, c_tilde=c_tilde, Gamma=Gamma, Tmat=Tmat)
+        U = np.vander(xs, 2 * p + 3, increasing=True)
+        mu += (ws * K) @ U
+        nu += (ws * K * K) @ U
+    Gamma += a * np.outer(mu[r], mu[r])
+    return KernelMoments(S=mu[r[:, None] + r], c=mu[p + 1:2 * p + 2], c_tilde=mu[p + 2:],
+                         Gamma=Gamma, Tmat=nu[r[:, None] + r])
 
 
 def factorial(v: int) -> float:

@@ -40,4 +40,20 @@ def test_compare_dumps_names_changed_labels(tmp_path):
     diff = subprocess.run(compare + [str(edited)], capture_output=True, text=True, timeout=60)
     assert diff.returncode == 1
     assert diff.stdout.splitlines() == [
-        f"{len(entries) - 1} identical, 1 changed, 0 new, 0 removed", f"changed: {label}"]
+        f"{len(entries) - 1} identical, 1 changed, 0 new, 0 removed",
+        f"changed: {label} (text differs)"]
+
+    # a label whose numbers alone moved reports the largest move over its largest number
+    old = [["numbers", "{'h_p1': 0.5, 'se': [-2.0, 0.001]}"], ["text", "{'case_tag': 'cdf_interior'}"]]
+    new = [["numbers", "{'h_p1': 0.5, 'se': [-2.0, 0.0015]}"], ["text", "{'case_tag': 'cdf_boundary'}"]]
+    paths = []
+    for name, dump in (("old.json", old), ("new.json", new)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(dump))
+    moved = subprocess.run([sys.executable, str(REPO / "tools" / "compare_dumps.py"), *map(str, paths)],
+                           capture_output=True, text=True, timeout=60)
+    assert moved.returncode == 1
+    assert moved.stdout.splitlines() == [
+        "0 identical, 2 changed, 0 new, 0 removed",
+        "changed: numbers (numbers moved by 2.5e-04 of the largest)",
+        "changed: text (text differs)"]

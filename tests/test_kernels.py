@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import gamma_bruteforce_triangles, monomial_moment_uniform
+from oracles import exact_kernel_moments, monomial_moment_uniform
 
 from lpdens.errors import DegenerateRegion
 from lpdens.kernels import (
@@ -123,6 +123,14 @@ def test_classify_region_degenerate():
         classify_region(0.5, 1.0, 0.5 - 1e-10, 0.5 + 1e-10)
 
 
+def test_moments_rejects_region_outside_kernel_support():
+    # a window past [-1, 1] would put the kernel's kinks at +-1 inside a
+    # quadrature segment, so its moments would be silently inexact
+    for a, b in ((-2.0, 2.0), (-1.5, 1.0), (-1.0, 1.0 + 1e-9)):
+        with pytest.raises(ValueError, match="support"):
+            moments("triangular", EvalRegion(a=a, b=b, kind="interior"), 2)
+
+
 def test_moments_uniform_interior_closed_form():
     # S = [[1,0,1/3],[0,1/3,0],[1/3,0,1/5]], c = (0,1/5,0)
     mom = moments("uniform", INTERIOR, 2)
@@ -154,21 +162,30 @@ def test_moments_S_odd_entries_vanish_interior(fam):
     assert mom.S[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("fam,region", [
-    pytest.param(fam, region, id=fam + suffix)
-    for region, suffix in (
-        (INTERIOR, ""),
-        (EvalRegion(a=-0.3, b=1.0, kind="lower_boundary"), "-lower_boundary"),
-    )
+EXACT_REGIONS = [
+    EvalRegion(a=-1.0, b=1.0, kind="interior"),
+    EvalRegion(a=-3 / 10, b=1.0, kind="lower_boundary"),
+    EvalRegion(a=0.0, b=1.0, kind="lower_boundary"),
+    EvalRegion(a=-1.0, b=1 / 4, kind="upper_boundary"),
+    EvalRegion(a=-1.0, b=-1 / 2, kind="upper_boundary"),
+]
+
+
+@pytest.mark.parametrize("fam,region,p", [
+    pytest.param(fam, region, p, id=f"{fam}-[{region.a},{region.b}]-p{p}")
     for fam in ("triangular", "epanechnikov", "uniform")
-])
-def test_gamma_against_dense_triangle_bruteforce(fam, region):
-    # high-resolution grid so the oracle error is negligible
-    mom = moments(fam, region, 2)
-    brute = gamma_bruteforce_triangles(fam, 2, n_grid=2000, a=region.a, b=region.b)
-    # oracle discretization error is O(n_grid^-2) ~ 1e-7 at this resolution
-    assert np.max(np.abs(mom.Gamma - brute)) < 2e-7
-    assert np.allclose(mom.Gamma, mom.Gamma.T, atol=1e-14)
+    for region in EXACT_REGIONS
+    for p in (0, 2, 5)
+] + [pytest.param("triangular", EXACT_REGIONS[1], 16, id="triangular-[-0.3,1.0]-p16")])
+def test_moments_against_exact_rational_oracle(fam, region, p):
+    # the oracle integrates each kernel piece through Fraction antiderivatives
+    # and builds Gamma from the two triangles of its definition
+    mom = moments(fam, region, p)
+    exact = exact_kernel_moments(fam, region.a, region.b, p)
+    tol = 1e-14 * np.max(np.abs(exact["S"]))
+    for name, value in exact.items():
+        assert np.max(np.abs(getattr(mom, name) - value)) <= tol, name
+    assert np.allclose(mom.Gamma, mom.Gamma.T, rtol=0.0, atol=1e-14)
 
 
 def test_moments_truncated_uniform_closed_form():
