@@ -38,10 +38,9 @@ class BandwidthSelection:
 
 def _normal_reference(sample: Sample, p: int) -> float:
     """Normal-reference rule 1.06 sd n^(-1/(2p+5)), capped at half the range."""
-    sd = float(np.std(sample.values, ddof=1))
-    if sd <= 0:
+    if sample.sd <= 0:
         raise ZeroVariance("sample standard deviation is zero")
-    return min(1.06 * sd * sample.n ** (-1.0 / (2 * p + 5)), sample.span / 2.0)
+    return min(1.06 * sample.sd * sample.n ** (-1.0 / (2 * p + 5)), sample.span / 2.0)
 
 
 def preliminary_bandwidth(sample: Sample) -> float:

@@ -13,7 +13,8 @@ from .errors import CsvParseError, EmptySide, NonFinite, SupportViolation, TooFe
 class Sample:
     """Sorted, validated observations with support endpoint metadata.
 
-    ``values`` is ascending and finite, and ``F`` is the EDF at each of them;
+    ``values`` is ascending and finite, ``F`` is the EDF at each of them and
+    ``sd`` their standard deviation (ddof=1);
     ``support_lower``/``support_upper`` may be ``-inf``/``+inf`` for
     unbounded support. Immutable: safe to share across threads.
     """
@@ -23,12 +24,14 @@ class Sample:
     support_upper: float
     n: int = field(init=False)
     F: np.ndarray = field(init=False, repr=False, compare=False)
+    sd: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", len(self.values))
         self.values.setflags(write=False)
         object.__setattr__(self, "F", edf_values(self, self.values))
         self.F.setflags(write=False)
+        object.__setattr__(self, "sd", float(np.std(self.values, ddof=1)))
 
     @property
     def support_range(self) -> float:

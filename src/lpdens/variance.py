@@ -9,8 +9,6 @@ estimated density.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from .errors import NegativeDensity, NonPositiveVariance
@@ -19,10 +17,10 @@ from .lpfit import LocalFit, derivative_estimate
 from .sample import Sample
 
 _NEG_TOL = 1e-12
-#: elements per row block when filling Gamma-hat's EDF covariance matrix
-_BLOCK_ELEMENTS = 2**16
-#: per-thread grow-only buffer behind Gamma-hat's m x m matrix
-_workspace = threading.local()
+#: least elements per row block of Gamma-hat's EDF covariance matrix in one GEMM
+_GEMM_ELEMENTS = 2**20
+#: elements per chunk when filling a row block
+_FILL_ELEMENTS = 2**16
 
 
 def gamma_hat(sample: Sample, fit: LocalFit) -> np.ndarray:
@@ -32,30 +30,40 @@ def gamma_hat(sample: Sample, fit: LocalFit) -> np.ndarray:
     factorization over the inner index, which reduces it to a double sum
     over in-window points:
 
-        Gamma = n^-2 sum_{j,k} w_j w_k r_j r_k'
-                      (EDF(min(x_j, x_k)) - EDF(x_j) EDF(x_k)).
+        Gamma = n^-2 sum_{j,k} w_j w_k r_j r_k' M_jk = n^-2 A' M A,
+        M_jk = EDF(min(x_j, x_k)) - EDF(x_j) EDF(x_k),  A_j = w_j r_j.
 
-    The m x m EDF covariance matrix is the one large array: 8 m^2 bytes
-    for m in-window points (800 MB at m = 1e4), filled in place in row
-    blocks of about 2^16 elements. It lives in a per-thread workspace that
-    only grows, so each thread keeps 8 m^2 bytes for the largest window it
-    has seen; the peak is still one matrix, and the result never aliases it.
+    M is never held whole: it is cut into ``max(1, m^2 // 2^20)`` row blocks
+    of equal height (edges ``m i // blocks``), each filled in chunks of about
+    2^16 elements and multiplied straight into ``A' M`` (M is symmetric, so
+    rows lo:hi are columns lo:hi). Memory is one block, at most about 16 MB,
+    plus O(m d); nothing is kept between calls.
+
+    The bits are those of the dense ``A.T @ M @ A``. One block is M itself.
+    Across blocks each column of ``A' M`` sums the same m terms in the same
+    order, provided every block's GEMM takes the dense product's BLAS kernel;
+    a short block (below about 1e6 multiply-adds) would not, hence equal
+    heights. At d = 1 (p = 0 pilot fits) numpy runs a matrix-vector product,
+    whose last bits can differ on a transposed block: once m > 1,448.
     """
     A = fit.Rw
     F = sample.F[fit.window]
     # xw sorted, EDF monotone, so EDF(min(x_j,x_k)) = min(F_j, F_k)
     m = len(F)
-    buf = getattr(_workspace, "buf", None)
-    if buf is None or buf.size < m * m:
-        buf = _workspace.buf = None  # free the old buffer before the new one
-        buf = _workspace.buf = np.empty(m * m)
-    M = buf[:m * m].reshape(m, m)
-    rows = max(1, _BLOCK_ELEMENTS // m)
-    for lo in range(0, m, rows):
-        Fb = F[lo:lo + rows, None]
-        np.minimum(Fb, F, out=M[lo:lo + rows])
-        M[lo:lo + rows] -= Fb * F
-    return (A.T @ M @ A) / fit.n**2
+    blocks = max(1, m * m // _GEMM_ELEMENTS)
+    buf = np.empty((-(-m // blocks), m))
+    rows = max(1, _FILL_ELEMENTS // m)
+    AM = np.empty((A.shape[1], m))
+    for i in range(blocks):
+        lo, hi = m * i // blocks, m * (i + 1) // blocks
+        Fi, Mb = F[lo:hi], buf[:hi - lo]
+        for a in range(0, hi - lo, rows):
+            Fb = Fi[a:a + rows, None]
+            np.minimum(Fb, F, out=Mb[a:a + rows])
+            Mb[a:a + rows] -= Fb * F
+        # one block is M itself, in the dense product's memory order
+        AM[:, lo:hi] = A.T @ (Mb if blocks == 1 else Mb.T)
+    return (AM @ A) / fit.n**2
 
 
 def quadratic_form(fit: LocalFit, G: np.ndarray, e: np.ndarray) -> float:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,3 +113,19 @@ def test_json_and_csv_emitters(exp_sample):
     assert tuple(rows[0].keys()) == FIELDS
     assert rows[0]["f_hat"] == ""  # failed point serialized as empty
     assert float(rows[1]["f_hat"]) == pytest.approx(out[1].f_hat)
+
+
+@pytest.mark.slow
+def test_estimate_grid_large_window_holds_no_m_by_m_matrix():
+    # m = 17,099 in-window points: a dense EDF covariance matrix would take
+    # 2.3 GB per gamma_hat call
+    s = load_sample(np.random.default_rng(0).exponential(size=100_000), support=(0.0, np.inf))
+    tracemalloc.start()
+    try:
+        [est] = estimate_grid(s, [1.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.error is None and est.m_eff > 15_000
+    assert np.isfinite(est.f_hat) and est.se > 0
+    assert peak < 64 * 2**20

@@ -31,6 +31,14 @@ def test_load_sample_values_are_immutable():
         s.values[0] = 5.0
 
 
+def test_sample_sd_is_computed_once_on_load():
+    vals = np.random.default_rng(12).normal(size=1000)
+    s = load_sample(vals)
+    assert s.sd == float(np.std(vals, ddof=1))
+    # a constant sample still loads; the zero sd fails only where it is used
+    assert load_sample([1.0, 1.0, 1.0]).sd == 0.0
+
+
 @pytest.mark.parametrize("raw,exc", [
     ([1.0], TooFew),
     ([1.0, np.nan], NonFinite),

@@ -155,29 +155,56 @@ def large_samples():
     return {"raw": load_sample(raw), "heaped": load_sample(np.round(raw / 0.05) * 0.05)}
 
 
-@pytest.mark.parametrize("data", ["raw", "heaped", "heaped-after-larger"])
-@pytest.mark.parametrize("basis,h", [
-    (BasisKind.STANDARD, 0.26),
-    (BasisKind.UNRESTRICTED, 0.3),
-    (BasisKind.RESTRICTED, 0.38),
-])
-def test_gamma_hat_bit_identical_to_dense_outer_form(large_samples, data, basis, h):
-    # the row-block fill does the same per-element arithmetic as the dense
-    # expression; compared in-process, since the GEMM bits depend on the
-    # BLAS thread count
-    name, _, after_larger = data.partition("-")
-    s = large_samples[name]
-    fit = fit_local(s, 0.1, h, 2, basis=basis)
-    assert 2_000 <= fit.m_eff <= 3_000
-    if after_larger:
-        # the workspace is then larger than m x m, and M is a prefix view of it
-        larger = fit_local(s, 0.1, 0.5, 2)
-        assert larger.m_eff > fit.m_eff
-        gamma_hat(s, larger)
+def _dense_gamma(s, fit):
+    """The dense n^-2 A' M A that gamma_hat streams in row blocks."""
     A = fit.R * fit.w[:, None]
     F = edf_values(s, fit.xw)
-    want = (A.T @ (np.minimum.outer(F, F) - np.outer(F, F)) @ A) / fit.n**2
-    assert np.array_equal(gamma_hat(s, fit), want)
+    M = np.minimum.outer(F, F)
+    M -= np.outer(F, F)
+    return (A.T @ M @ A) / fit.n**2
+
+
+# (basis, h) -> (x, the row blocks gamma_hat cuts the window's m x m matrix
+# into, on raw and heaped data alike): m of 2,000 to 3,000, then m of about
+# 1,400 (one block), 1,600 (two blocks) and 4,950 (23 blocks)
+_DENSE_WINDOWS = {
+    (BasisKind.STANDARD, 0.26): (0.1, range(3, 9)),
+    (BasisKind.UNRESTRICTED, 0.3): (0.1, range(3, 9)),
+    (BasisKind.RESTRICTED, 0.38): (0.1, range(3, 9)),
+    **{(basis, h): (0.15, [blocks]) for basis in BasisKind
+       for h, blocks in ((0.17, 1), (0.2, 2), (0.68, 23))},
+}
+
+
+@pytest.mark.parametrize("data", ["raw", "heaped", "heaped-after-larger"])
+@pytest.mark.parametrize("basis,h", list(_DENSE_WINDOWS))
+def test_gamma_hat_bit_identical_to_dense_outer_form(large_samples, data, basis, h):
+    # the streamed row blocks do the same per-element arithmetic and the same
+    # GEMM column sums as the dense expression; compared in-process, since
+    # the GEMM bits depend on the BLAS thread count
+    name, _, after_larger = data.partition("-")
+    s = large_samples[name]
+    x, blocks = _DENSE_WINDOWS[basis, h]
+    fit = fit_local(s, x, h, 2, basis=basis)
+    assert max(1, fit.m_eff**2 // 2**20) in blocks
+    if after_larger:
+        # no state carries from one call to the next: a larger window first
+        # leaves nothing that changes this one
+        larger = fit_local(s, 0.1, 0.8, 2)
+        assert larger.m_eff > fit.m_eff
+        gamma_hat(s, larger)
+    assert np.array_equal(gamma_hat(s, fit), _dense_gamma(s, fit))
+
+
+@pytest.mark.parametrize("data", ["raw", "heaped"])
+def test_gamma_hat_one_block_is_the_dense_product_at_d_1(large_samples, data):
+    # one row block is M itself, so even numpy's matrix-vector product for a
+    # p = 0 fit (d = 1) sums in the dense order; the transposed block moves
+    # the last bits in both of these windows
+    s = large_samples[data]
+    fit = fit_local(s, 0.15, 0.1, 0)
+    assert fit.R.shape[1] == 1 and max(1, fit.m_eff**2 // 2**20) == 1
+    assert np.array_equal(gamma_hat(s, fit), _dense_gamma(s, fit))
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
@@ -196,47 +223,22 @@ def test_gamma_hat_matches_long_double_dense_oracle(data):
     assert err <= 1e-13 * np.max(np.abs(want))
 
 
-def test_gamma_hat_peak_memory_is_one_matrix(large_samples):
-    # a fresh thread starts with an empty workspace, which grows twice: to a
-    # window almost as large, then to this one, freeing the old buffer first
-    s = large_samples["raw"]
-    near = fit_local(s, 0.1, 0.38, 2)
-    fit = fit_local(s, 0.1, 0.4, 2)
-    m = fit.m_eff
-    assert m >= 3_000 and 0.9 * m < near.m_eff < m
-
-    def grow():
-        gamma_hat(s, near)
-        gamma_hat(s, fit)
-
+def test_gamma_hat_peak_memory_is_one_matrix():
+    # the dense m x m matrix would be about 980 MB here; one row block is at
+    # most about 16 MB, and the rest is O(m d)
+    s = load_sample(np.random.default_rng(17).normal(size=40_000))
+    fit = fit_local(s, 0.0, 0.35, 2)
+    assert fit.m_eff >= 10_000
     tracemalloc.start()
     try:
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            pool.submit(grow).result()
+        gamma_hat(s, fit)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * 8 * m**2
+    assert peak < 64 * 2**20
 
 
-def test_gamma_hat_reuses_its_workspace(large_samples):
-    s = large_samples["raw"]
-    large = fit_local(s, 0.1, 0.4, 2)
-    small = fit_local(s, 0.1, 0.26, 2)
-    first = gamma_hat(s, large)
-    for fit in (large, small):
-        tracemalloc.start()
-        try:
-            G = gamma_hat(s, fit)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.1 * 8 * fit.m_eff**2
-        assert not np.shares_memory(G, first)
-    assert np.array_equal(gamma_hat(s, large), first)
-
-
-def test_gamma_hat_threads_keep_separate_workspaces(large_samples):
+def test_gamma_hat_is_thread_safe(large_samples):
     fits = {name: fit_local(s, 0.1, 0.3, 2) for name, s in large_samples.items()}
     assert fits["raw"].m_eff != fits["heaped"].m_eff
     serial = {name: gamma_hat(large_samples[name], fit) for name, fit in fits.items()}
