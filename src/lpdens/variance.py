@@ -21,6 +21,8 @@ _NEG_TOL = 1e-12
 _GEMM_ELEMENTS = 2**20
 #: elements per chunk when filling a row block
 _FILL_ELEMENTS = 2**16
+#: numpy's ufunc buffer while filling, its least legal size: only rows under 6 go through it
+_FILL_BUFSIZE = 16
 
 
 def gamma_hat(sample: Sample, fit: LocalFit) -> np.ndarray:
@@ -38,6 +40,13 @@ def gamma_hat(sample: Sample, fit: LocalFit) -> np.ndarray:
     2^16 elements and multiplied straight into ``A' M`` (M is symmetric, so
     rows lo:hi are columns lo:hi). Memory is one block, at most about 16 MB,
     plus O(m d); nothing is kept between calls.
+
+    The fill runs with numpy's ufunc buffer at 16 elements. At the default
+    8192, numpy 2.4 sends rows shorter than 2,731 elements (a third of the
+    buffer) through its buffered loop, which first copies the broadcast
+    operands; that doubles the fill's time. The caller's size is restored on
+    every exit, and the setting is per thread. Min, multiply and subtract are
+    exact, so the bits cannot change.
 
     The bits are those of the dense ``A.T @ M @ A``. One block is M itself.
     Across blocks each column of ``A' M`` sums the same m terms in the same
@@ -57,10 +66,14 @@ def gamma_hat(sample: Sample, fit: LocalFit) -> np.ndarray:
     for i in range(blocks):
         lo, hi = m * i // blocks, m * (i + 1) // blocks
         Fi, Mb = F[lo:hi], buf[:hi - lo]
-        for a in range(0, hi - lo, rows):
-            Fb = Fi[a:a + rows, None]
-            np.minimum(Fb, F, out=Mb[a:a + rows])
-            Mb[a:a + rows] -= Fb * F
+        old = np.setbufsize(_FILL_BUFSIZE)
+        try:
+            for a in range(0, hi - lo, rows):
+                Fb = Fi[a:a + rows, None]
+                np.minimum(Fb, F, out=Mb[a:a + rows])
+                Mb[a:a + rows] -= Fb * F
+        finally:
+            np.setbufsize(old)
         # one block is M itself, in the dense product's memory order
         AM[:, lo:hi] = A.T @ (Mb if blocks == 1 else Mb.T)
     return (AM @ A) / fit.n**2

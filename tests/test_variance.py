@@ -164,15 +164,26 @@ def _dense_gamma(s, fit):
     return (A.T @ M @ A) / fit.n**2
 
 
+#: the shortest broadcast row that numpy 2.4, at its default ufunc buffer of
+#: 8,192 elements, does not copy through the buffer (a third of it, rounded up)
+_UNBUFFERED_ROW = 2_731
+
 # (basis, h) -> (x, the row blocks gamma_hat cuts the window's m x m matrix
-# into, on raw and heaped data alike): m of 2,000 to 3,000, then m of about
-# 1,400 (one block), 1,600 (two blocks) and 4,950 (23 blocks)
+# into, the range of m), on raw and heaped data alike: m of 2,000 to 3,000,
+# then m of about 1,400 (one block), 1,600 (two blocks) and 4,950 (23
+# blocks); then m just below and just above numpy's unbuffered switch, and m
+# of about 230, whose one block is filled in one chunk (m^2 <= 2^16)
 _DENSE_WINDOWS = {
-    (BasisKind.STANDARD, 0.26): (0.1, range(3, 9)),
-    (BasisKind.UNRESTRICTED, 0.3): (0.1, range(3, 9)),
-    (BasisKind.RESTRICTED, 0.38): (0.1, range(3, 9)),
-    **{(basis, h): (0.15, [blocks]) for basis in BasisKind
-       for h, blocks in ((0.17, 1), (0.2, 2), (0.68, 23))},
+    (BasisKind.STANDARD, 0.26): (0.1, range(3, 9), range(2_000, 3_000)),
+    (BasisKind.UNRESTRICTED, 0.3): (0.1, range(3, 9), range(2_000, 3_000)),
+    (BasisKind.RESTRICTED, 0.38): (0.1, range(3, 9), range(2_000, 3_000)),
+    **{(basis, h): (x, blocks, m) for basis in BasisKind
+       for x, h, blocks, m in ((0.15, 0.17, [1], range(1_300, 1_500)),
+                               (0.15, 0.2, [2], range(1_500, 1_700)),
+                               (0.15, 0.68, [23], range(4_800, 5_100)),
+                               (0.15, 0.35, [6, 7], range(2_650, _UNBUFFERED_ROW)),
+                               (0.35, 0.37, [7], range(_UNBUFFERED_ROW, 2_800)),
+                               (2.3, 0.36, [1], range(2**8 + 1)))},
 }
 
 
@@ -184,9 +195,9 @@ def test_gamma_hat_bit_identical_to_dense_outer_form(large_samples, data, basis,
     # the GEMM bits depend on the BLAS thread count
     name, _, after_larger = data.partition("-")
     s = large_samples[name]
-    x, blocks = _DENSE_WINDOWS[basis, h]
+    x, blocks, m = _DENSE_WINDOWS[basis, h]
     fit = fit_local(s, x, h, 2, basis=basis)
-    assert max(1, fit.m_eff**2 // 2**20) in blocks
+    assert fit.m_eff in m and max(1, fit.m_eff**2 // 2**20) in blocks
     if after_larger:
         # no state carries from one call to the next: a larger window first
         # leaves nothing that changes this one
@@ -238,19 +249,57 @@ def test_gamma_hat_peak_memory_is_one_matrix():
     assert peak < 64 * 2**20
 
 
+@pytest.mark.parametrize("bufsize", [None, 4096])
+def test_gamma_hat_restores_the_ufunc_buffer(large_samples, bufsize):
+    # the fill runs with a 16-element ufunc buffer; the caller gets back the
+    # size it had, numpy's default or its own
+    s = large_samples["raw"]
+    fit = fit_local(s, 0.15, 0.2, 2)  # two row blocks
+    old = np.getbufsize() if bufsize is None else np.setbufsize(bufsize)
+    try:
+        want = np.getbufsize()
+        gamma_hat(s, fit)
+        assert np.getbufsize() == want
+    finally:
+        np.setbufsize(old)
+
+
+def test_gamma_hat_restores_the_ufunc_buffer_on_error(large_samples, monkeypatch):
+    # a fill that fails midway, as when a chunk cannot be allocated
+    s = large_samples["raw"]
+    fit = fit_local(s, 0.15, 0.2, 2)
+    want = np.getbufsize()
+
+    def fail(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "minimum", fail)
+    with pytest.raises(MemoryError):
+        gamma_hat(s, fit)
+    assert np.getbufsize() == want
+
+
 def test_gamma_hat_is_thread_safe(large_samples):
     fits = {name: fit_local(s, 0.1, 0.3, 2) for name, s in large_samples.items()}
     assert fits["raw"].m_eff != fits["heaped"].m_eff
     serial = {name: gamma_hat(large_samples[name], fit) for name, fit in fits.items()}
     start = threading.Barrier(2)
+    # numpy's ufunc buffer size is per thread: each worker sets its own, and
+    # finds it unchanged after a call that ran alongside the other's
+    bufsizes = {"raw": 4096, "heaped": 2 * 8192}
 
     def call(name):
-        start.wait()
-        return gamma_hat(large_samples[name], fits[name])
+        old = np.setbufsize(bufsizes[name])
+        try:
+            start.wait()
+            return gamma_hat(large_samples[name], fits[name]), np.getbufsize()
+        finally:
+            np.setbufsize(old)
 
     for _ in range(3):
         with ThreadPoolExecutor(max_workers=2) as pool:
-            raw, heaped = pool.map(call, ["raw", "heaped"])
+            (raw, raw_bufsize), (heaped, heaped_bufsize) = pool.map(call, ["raw", "heaped"])
+        assert raw_bufsize == bufsizes["raw"] and heaped_bufsize == bufsizes["heaped"]
         assert np.array_equal(raw, serial["raw"])
         assert np.array_equal(heaped, serial["heaped"])
         assert not np.shares_memory(raw, heaped)
