@@ -16,7 +16,7 @@ from .errors import InsufficientData, NegativeDensity, NonPositiveVariance, Sing
 from .kernels import BasisKind, EvalRegion, factorial, moments, selector
 from .lpfit import LocalFit, derivative_estimate, fit_local
 from .sample import Sample, edf_values
-from .variance import gamma_hat, quadratic_form
+from .variance import _dense_gamma_hat, quadratic_form
 
 _ZERO_BIAS_TOL = 1e-12
 
@@ -106,7 +106,7 @@ def _golden_section(objective, lo: float, hi: float):
 
 def variance_constant(sample: Sample, fit: LocalFit, v: int) -> float:
     """V-hat such that variance(h) ~= V-hat / (n h^{2v-1}), from Gamma-hat at ell = ``fit.h``."""
-    q = quadratic_form(fit, gamma_hat(sample, fit), selector(fit.p, fit.basis, v))
+    q = quadratic_form(fit, _dense_gamma_hat(sample, fit), selector(fit.p, fit.basis, v))
     return factorial(v) ** 2 * max(q, 0.0) / fit.h
 
 

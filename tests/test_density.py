@@ -83,6 +83,15 @@ def test_estimate_grid_singular_pilot_is_soft():
     assert "SingularDesign" in {e.error for e in out}
 
 
+@pytest.mark.parametrize("x,h", [(-2.9, None), (3.1, 0.5)])
+def test_estimate_grid_rank_deficient_interval_fit_is_typed(x, h):
+    # the order-2 interval fit holds 3 points on 2 distinct values, so its q
+    # is rounding noise; it used to give se = 2,148,575 and 293,801 here
+    s = load_sample(np.round(np.random.default_rng(2024).normal(size=400), 1))
+    [est] = estimate_grid(s, [x], p=1, h=h)
+    assert est.error == "NonPositiveVariance" and est.se is None
+
+
 def test_estimate_grid_fixed_bandwidth(exp_sample):
     out = estimate_grid(exp_sample, [1.0], h=0.4)
     assert out[0].h_used == 0.4
