@@ -1,8 +1,8 @@
 """Command-line interface: density grids, manipulation tests, simulations.
 
-Exit codes: 0 success, 1 fatal error (one machine-parsable reason line on
-stderr), 2 partial per-point failures on a density grid. No subcommand
-mutates its input; outputs go to stdout or a fresh file.
+Exit codes: 0 success, 1 fatal or usage error (a machine-parsable reason
+line ends stderr), 2 partial per-point failures on a density grid. No
+subcommand mutates its input; outputs go to stdout or a fresh file.
 """
 
 from __future__ import annotations
@@ -26,6 +26,16 @@ from .sample import load_csv
 
 class OutputNotWritable(OSError):
     """The ``--output`` file could not be written."""
+
+
+class UsageError(ValueError):
+    """The command line does not parse (exit 1: argparse's own 2 would read as partial results)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        sys.stderr.write(f"{self.format_usage()}{self.prog}: {message}\n")
+        raise UsageError(message)
 
 
 def _reason_tag(exc: Exception) -> str:
@@ -99,7 +109,7 @@ def cmd_simulate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lpdens",
         description="Boundary-adaptive local polynomial density estimation.",
     )
@@ -149,8 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (LpDensError, OSError, ValueError, MemoryError, BrokenExecutor) as exc:
         print(f"error: {_reason_tag(exc)}", file=sys.stderr)

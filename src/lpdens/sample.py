@@ -102,7 +102,8 @@ def split_at_cutoff(sample: Sample, cutoff: float):
     """Split into left (< cutoff) and right (>= cutoff) subsamples.
 
     Observations equal to the cutoff go right. Left support upper endpoint
-    is set to the cutoff, right support lower endpoint likewise.
+    is set to the cutoff, right support lower endpoint likewise. Each side's
+    values are a read-only view of the parent's.
 
     Returns
     -------
@@ -116,12 +117,12 @@ def split_at_cutoff(sample: Sample, cutoff: float):
             f"cutoff {cutoff} leaves {n_minus} left / {n_plus} right observations"
         )
     left = Sample(
-        values=sample.values[:k].copy(),
+        values=sample.values[:k],
         support_lower=sample.support_lower,
         support_upper=cutoff,
     )
     right = Sample(
-        values=sample.values[k:].copy(),
+        values=sample.values[k:],
         support_lower=cutoff,
         support_upper=sample.support_upper,
     )

@@ -1,10 +1,9 @@
 """Standard errors for the local fit.
 
 Three routes: the automatic Gamma-hat estimator (default, boundary
-adaptive, no support knowledge needed), a jackknife variant built from
-leave-one-out averages of the symmetrized U-statistic kernel, and a
-plug-in variant that combines quadrature moment matrices with the
-estimated density.
+adaptive, no support knowledge needed), the jackknife (Gamma-hat plus
+terms from the fit's window; both take O(m d^2) for m in-window points),
+and a plug-in variant from quadrature moment matrices and the estimated density.
 """
 
 from __future__ import annotations
@@ -144,24 +143,23 @@ def difference_se(sample: Sample, fit: LocalFit) -> float:
 
 
 def jackknife_gamma(sample: Sample, fit: LocalFit) -> np.ndarray:
-    """Gamma-hat^JK from leave-one-out averages of the symmetrized kernel.
+    """Gamma-hat^JK, the covariance of the leave-one-out averages, in O(m d^2).
 
-    O(n m) via suffix sums of the weighted basis rows over the window.
+    Observation i's average is (c_i + e_i - b) / (n - 1), with g_j the rows of Rw,
+    pred = R beta, b = sum_j g_j pred_j, c_i = sum_j g_j 1[x_i <= x_j] and, in the
+    window only, e_i = g_i (n F_i - 2 - (n - 2) pred_i). Over all n observations
+    Cov(c) = n^2 Gamma-hat, so with c-bar = sum_j F_j g_j and e-bar = sum_i e_i / n
+
+        Gamma^JK = [n^2 Gamma-hat + C + C' + sum_i e_i e_i' / n - e-bar e-bar'] / (n - 1)^2,
+        C = sum_i (c_i - c-bar) e_i' / n.
     """
-    n, win = fit.n, fit.window
-    G = fit.Rw  # g_j = r_j K_h(x_j - x), in-window rows
-    pred = fit.R @ fit.beta_scaled
-
-    pos = np.searchsorted(fit.xw, sample.values, side="left")
-    abar = _suffix_sums(G)[pos] - G.T @ pred  # sum_{j in win} g_j (1[x_i <= x_j] - pred_j)
-
-    # window members: remove the j=i term and add the fixed-i side term
-    abar[win] -= G * (1.0 - pred)[:, None]
-    abar[win] += G * (n * sample.F[win] - 1.0 - (n - 1) * pred)[:, None]
-    abar /= n - 1
-
-    ubar = abar.mean(axis=0)
-    return (abar.T @ abar) / n - np.outer(ubar, ubar)
+    n, G, F = fit.n, fit.Rw, sample.F[fit.window]
+    c = _suffix_sums(G)[np.searchsorted(fit.xw, fit.xw, side="left")]  # at each first tie
+    e = G * (n * F - 2.0 - (n - 2) * (fit.R @ fit.beta_scaled))[:, None]
+    e_bar = e.sum(axis=0) / n
+    C = ((c - F @ G).T @ e) / n
+    return (n**2 * gamma_hat(sample, fit) + C + C.T
+            + (e.T @ e) / n - np.outer(e_bar, e_bar)) / (n - 1) ** 2
 
 
 def jackknife_se(sample: Sample, fit: LocalFit, v: int, side: str | None = None) -> float:

@@ -314,8 +314,9 @@ def test_import_leaves_scipy_stats_unloaded():
 
 
 def test_help_lists_defaults(capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exited:
         main(["density", "--help"])
+    assert exited.value.code == 0
     text = capsys.readouterr().out
     for token in ("--p", "--kernel", "--bandwidth", "--alpha",
                   "default: json", "triangular"):
@@ -328,6 +329,23 @@ def test_help_lists_defaults(capsys):
     with pytest.raises(SystemExit):
         main(["simulate", "--help"])
     assert "--threads" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--input", "{csv}", "--p", "abc"],
+    ["density", "--input", "{csv}", "--grid-points", "1,x"],
+    ["test", "--input", "{csv}"],
+    ["estimate"],
+    [],
+], ids=["bad-int", "bad-grid-point", "test-without-cutoff", "unknown-subcommand", "none"])
+def test_usage_error_exits_1_with_a_tag(data_csv, capsys, argv):
+    # exit 2 means partial per-point results, so argparse's own exit 2 is not used
+    code = main([a.format(csv=data_csv) for a in argv])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err.startswith("usage: lpdens")
+    assert out.err.splitlines()[-1] == "error: usage-error"
 
 
 def test_threads_default_ignores_environment(design_json, monkeypatch):

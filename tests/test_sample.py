@@ -101,6 +101,17 @@ def test_split_at_cutoff_tie_goes_right():
     assert np.array_equal(right.F, [0.5, 0.5, 0.75, 1.0])
 
 
+def test_split_at_cutoff_sides_are_read_only_views():
+    s = load_sample([0.0, 1.0, 2.0, 2.0, 3.0, 4.0])
+    left, right, _, _ = split_at_cutoff(s, 2.0)
+    for side in (left, right):
+        assert np.shares_memory(side.values, s.values)
+        assert not side.values.flags.writeable
+        with pytest.raises(ValueError):
+            side.values[0] = 9.0
+    assert np.array_equal(s.values, [0.0, 1.0, 2.0, 2.0, 3.0, 4.0])
+
+
 def test_split_at_cutoff_empty_side():
     s = load_sample([1.0, 2.0, 3.0, 4.0])
     with pytest.raises(EmptySide):

@@ -86,12 +86,74 @@ def test_gamma_hat_symmetric_psd_form(small_sample):
     assert np.min(np.linalg.eigvalsh(G)) > -1e-12
 
 
+@pytest.mark.parametrize("basis", list(BasisKind))
 @pytest.mark.parametrize("data", ["raw", "tied"])
-def test_jackknife_matches_pairwise_oracle(oracle_samples, data):
-    s, fit = _oracle_fit(oracle_samples, data, 0.1, 0.9, 2)
+def test_jackknife_matches_pairwise_oracle(oracle_samples, data, basis):
+    s, fit = _oracle_fit(oracle_samples, data, 0.1, 0.9, 2, basis)
     G = jackknife_gamma(s, fit)
     oracle = jackknife_pairwise(s, fit)
     assert np.max(np.abs(G - oracle)) / np.max(np.abs(oracle)) < 1e-12
+
+
+def _jackknife_rows_long_double(s, fit):
+    """Gamma-hat^JK from the n leave-one-out rows, every observation searched
+    into the window's suffix sums, all in long double."""
+    ld = np.longdouble
+    n, win = fit.n, fit.window
+    G = fit.Rw.astype(ld)
+    pred = fit.R.astype(ld) @ fit.beta_scaled.astype(ld)
+    F = np.searchsorted(s.values, fit.xw, side="right").astype(ld) / n
+    suffix = np.zeros((len(G) + 1, G.shape[1]), dtype=ld)
+    suffix[:-1] = np.cumsum(G[::-1], axis=0)[::-1]
+    abar = suffix[np.searchsorted(fit.xw, s.values, side="left")] - G.T @ pred
+    abar[win] -= G * (1 - pred)[:, None]
+    abar[win] += G * (n * F - 1 - (n - 1) * pred)[:, None]
+    abar /= n - 1
+    ubar = abar.mean(axis=0)
+    return (abar.T @ abar) / n - np.outer(ubar, ubar)
+
+
+@pytest.fixture(scope="module")
+def long_double_samples():
+    raw = np.random.default_rng(0).normal(size=2_000)
+    return {"raw": load_sample(raw), "tied": load_sample(np.round(raw / 0.05) * 0.05)}
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than float64 here")
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("basis", list(BasisKind))
+@pytest.mark.parametrize("data", ["raw", "tied"])
+def test_jackknife_matches_long_double_reference(long_double_samples, data, basis, p):
+    # the n leave-one-out rows in long double, against Gamma-hat plus the
+    # in-window terms in float64; the tied window holds runs of equal values
+    s = long_double_samples[data]
+    fit = fit_local(s, 0.0, 0.5, p, basis=basis)
+    assert data == "raw" or len(np.unique(fit.xw)) < fit.m_eff
+    want = _jackknife_rows_long_double(s, fit)
+    err = np.max(np.abs(jackknife_gamma(s, fit) - want))
+    assert err <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.fixture(scope="module")
+def million_sample():
+    return load_sample(np.random.default_rng(17).normal(size=1_000_000))
+
+
+@pytest.mark.parametrize("basis", list(BasisKind))
+def test_jackknife_peak_memory_is_o_of_m_d(million_sample, basis):
+    # n = 1e6 observations, about 10,000 in the window: Gamma-hat's few m x d
+    # arrays and the in-window terms, no array with a row per observation
+    s = million_sample
+    fit = fit_local(s, 0.0, 0.0125, 2, basis=basis)
+    assert 9_000 <= fit.m_eff <= 11_000
+    tracemalloc.start()
+    try:
+        jackknife_gamma(s, fit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * fit.Rw.nbytes
 
 
 def test_jackknife_se_close_to_gamma_hat_se():
@@ -190,7 +252,7 @@ _DENSE_WINDOWS = {
 
 @pytest.mark.parametrize("data", ["raw", "heaped", "heaped-after-larger"])
 @pytest.mark.parametrize("basis,h", list(_DENSE_WINDOWS))
-def test_gamma_hat_bit_identical_to_dense_outer_form(large_samples, data, basis, h):
+def test_dense_gamma_hat_bit_identical_to_dense_outer_form(large_samples, data, basis, h):
     # the streamed row blocks do the same per-element arithmetic and the same
     # GEMM column sums as the dense expression; compared in-process, since
     # the GEMM bits depend on the BLAS thread count
@@ -209,7 +271,7 @@ def test_gamma_hat_bit_identical_to_dense_outer_form(large_samples, data, basis,
 
 
 @pytest.mark.parametrize("data", ["raw", "heaped"])
-def test_gamma_hat_one_block_is_the_dense_product_at_d_1(large_samples, data):
+def test_dense_gamma_hat_one_block_is_the_dense_product_at_d_1(large_samples, data):
     # one row block is M itself, so even numpy's matrix-vector product for a
     # p = 0 fit (d = 1) sums in the dense order; the transposed block moves
     # the last bits in both of these windows
@@ -235,7 +297,7 @@ def test_gamma_hat_matches_long_double_dense_oracle(data):
     assert err <= 1e-13 * np.max(np.abs(want))
 
 
-def test_gamma_hat_peak_memory_is_one_matrix():
+def test_dense_gamma_hat_peak_memory_is_one_matrix():
     # the dense m x m matrix would be about 980 MB here; one row block is at
     # most about 16 MB, and the rest is O(m d)
     s = load_sample(np.random.default_rng(17).normal(size=40_000))
@@ -277,7 +339,7 @@ def test_gamma_hat_matches_the_dense_pilot_form(large_samples, data, basis, h):
 
 
 @pytest.mark.parametrize("bufsize", [None, 4096])
-def test_gamma_hat_restores_the_ufunc_buffer(large_samples, bufsize):
+def test_dense_gamma_hat_restores_the_ufunc_buffer(large_samples, bufsize):
     # the fill runs with a 16-element ufunc buffer; the caller gets back the
     # size it had, numpy's default or its own
     s = large_samples["raw"]
@@ -291,7 +353,7 @@ def test_gamma_hat_restores_the_ufunc_buffer(large_samples, bufsize):
         np.setbufsize(old)
 
 
-def test_gamma_hat_restores_the_ufunc_buffer_on_error(large_samples, monkeypatch):
+def test_dense_gamma_hat_restores_the_ufunc_buffer_on_error(large_samples, monkeypatch):
     # a fill that fails midway, as when a chunk cannot be allocated
     s = large_samples["raw"]
     fit = fit_local(s, 0.15, 0.2, 2)
@@ -306,7 +368,7 @@ def test_gamma_hat_restores_the_ufunc_buffer_on_error(large_samples, monkeypatch
     assert np.getbufsize() == want
 
 
-def test_gamma_hat_is_thread_safe(large_samples):
+def test_dense_gamma_hat_is_thread_safe(large_samples):
     fits = {name: fit_local(s, 0.1, 0.3, 2) for name, s in large_samples.items()}
     assert fits["raw"].m_eff != fits["heaped"].m_eff
     serial = {name: _dense_gamma_hat(large_samples[name], fit) for name, fit in fits.items()}
