@@ -73,9 +73,34 @@ def basis_powers(p: int, basis: BasisKind) -> np.ndarray:
 
 
 def basis_matrix(u, p: int, basis: BasisKind) -> np.ndarray:
-    """Rows r_p(u_i) for each input point; u = 0 belongs to the right side."""
+    """Rows r_p(u_i) for each input point; u = 0 belongs to the right side.
+
+    The powers are bit for bit ``u[:, None] ** np.arange(p + 1)``, which the
+    recorded benchmark outputs hold, with ``pow`` called only where its
+    result is not known exactly: powers 0 and 1 are 1.0 and u, and powers
+    2..p are computed once per run of tied u (a sorted window of heaped data
+    repeats rows) and repeated back. numpy's ``pow`` takes a scalar path on a
+    negative base, 30-40x slower than on a positive one. Two traps keep
+    these bits: numpy squares a stride-0 exponent of 2 (a scalar or a
+    one-column broadcast) as u*u, which rounds differently from ``pow``, so
+    each exponent is a full array; and runs are found on the bit pattern,
+    since -0.0 == 0.0 but pow(-0.0, 3) is -0.0. A product basis (running
+    products, as ``np.vander``) would replace ``pow`` but rounds differently,
+    so it waits for the benchmark reference to be re-recorded.
+    """
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    mono = u[:, None] ** np.arange(p + 1)[None, :]
+    bits = u.view(np.int64)
+    first = np.ones(len(u), dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=first[1:])
+    tied = not first.all()
+    ud = u[first] if tied else u
+    mono = np.empty((len(ud), p + 1))
+    mono[:, 0] = 1.0
+    mono[:, 1:2] = ud[:, None]
+    for k in range(2, p + 1):
+        mono[:, k] = np.power(ud, np.full_like(ud, k))
+    if tied:
+        mono = np.repeat(mono, np.diff(np.flatnonzero(np.append(first, True))), axis=0)
     if basis is BasisKind.STANDARD:
         return mono
     neg = u < 0

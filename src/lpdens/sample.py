@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -13,8 +14,7 @@ from .errors import CsvParseError, EmptySide, NonFinite, SupportViolation, TooFe
 class Sample:
     """Sorted, validated observations with support endpoint metadata.
 
-    ``values`` is ascending and finite, ``F`` is the EDF at each of them and
-    ``sd`` their standard deviation (ddof=1);
+    ``values`` is ascending and finite;
     ``support_lower``/``support_upper`` may be ``-inf``/``+inf`` for
     unbounded support. Immutable: safe to share across threads.
     """
@@ -23,15 +23,22 @@ class Sample:
     support_lower: float
     support_upper: float
     n: int = field(init=False)
-    F: np.ndarray = field(init=False, repr=False, compare=False)
-    sd: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", len(self.values))
         self.values.setflags(write=False)
-        object.__setattr__(self, "F", edf_values(self, self.values))
-        self.F.setflags(write=False)
-        object.__setattr__(self, "sd", float(np.std(self.values, ddof=1)))
+
+    @cached_property
+    def F(self) -> np.ndarray:
+        """The EDF at each observation, read-only; computed on first use."""
+        F = edf_values(self, self.values)
+        F.setflags(write=False)
+        return F
+
+    @cached_property
+    def sd(self) -> float:
+        """Standard deviation (ddof=1), computed on first use."""
+        return float(np.std(self.values, ddof=1))
 
     @property
     def support_range(self) -> float:

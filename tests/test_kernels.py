@@ -73,6 +73,46 @@ def test_restricted_basis_shape():
     assert np.allclose(rows[1], [1.0, 0.0, 0.5, 0.25])
 
 
+def _pow_basis(u, p, basis):
+    """The basis as plain numpy powers, u = 0 on the right: the bits the reference holds."""
+    mono = u[:, None] ** np.arange(p + 1)[None, :]
+    left = (u < 0)[:, None]
+    if basis is BasisKind.STANDARD:
+        return mono
+    if basis is BasisKind.UNRESTRICTED:
+        return np.hstack([mono * left, mono * ~left])
+    return np.hstack([mono[:, :1], mono[:, 1:2] * left, mono[:, 1:2] * ~left, mono[:, 2:]])
+
+
+def _basis_inputs():
+    rng = np.random.default_rng(25)
+    heaped = np.sort(np.round(rng.normal(scale=0.3, size=1500) / 0.05) * 0.05)
+    assert np.signbit(heaped[heaped == 0.0]).any() and not np.signbit(heaped[heaped == 0.0]).all()
+    return {
+        "m=1": np.array([-0.3]),
+        "m=2": np.array([-0.7, -0.7]),
+        "unsorted": rng.uniform(-1.0, 1.0, size=2000),
+        "negative": np.sort(-rng.uniform(0.0, 1.0, size=2000)),
+        "heaped": heaped,
+    }
+
+
+@pytest.mark.parametrize("bufsize", [16, 8192])
+@pytest.mark.parametrize("basis", list(BasisKind))
+def test_basis_matrix_bits_match_pow(basis, bufsize):
+    # pow is not correctly rounded: u * u, or np.vander's running product, moves the last bits
+    old = np.setbufsize(bufsize)
+    try:
+        for name, u in _basis_inputs().items():
+            for p in range(1 if basis is BasisKind.RESTRICTED else 0, 7):
+                got, want = basis_matrix(u, p, basis), _pow_basis(u, p, basis)
+                assert got.shape == want.shape and got.flags.c_contiguous, (name, p)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (name, p)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (name, p)
+    finally:
+        np.setbufsize(old)
+
+
 def test_selector_indices():
     assert selector_index(2, BasisKind.STANDARD, 1) == 1
     assert selector_index(2, BasisKind.UNRESTRICTED, 1, "left") == 1

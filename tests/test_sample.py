@@ -31,10 +31,11 @@ def test_load_sample_values_are_immutable():
         s.values[0] = 5.0
 
 
-def test_sample_sd_is_computed_once_on_load():
+def test_sample_sd_is_computed_once():
     vals = np.random.default_rng(12).normal(size=1000)
     s = load_sample(vals)
     assert s.sd == float(np.std(vals, ddof=1))
+    assert vars(s)["sd"] is s.sd
     # a constant sample still loads; the zero sd fails only where it is used
     assert load_sample([1.0, 1.0, 1.0]).sd == 0.0
 
@@ -110,6 +111,19 @@ def test_split_at_cutoff_sides_are_read_only_views():
         with pytest.raises(ValueError):
             side.values[0] = 9.0
     assert np.array_equal(s.values, [0.0, 1.0, 2.0, 2.0, 3.0, 4.0])
+
+
+def test_split_sides_compute_their_edf_on_first_use():
+    # cutoff_test's unrestricted and restricted models read neither side
+    s = load_sample(np.random.default_rng(5).normal(size=200))
+    for side in split_at_cutoff(s, 0.1)[:2]:
+        assert "F" not in vars(side) and "sd" not in vars(side)
+        F = side.F
+        assert np.array_equal(F, edf_values(side, side.values))
+        assert not F.flags.writeable
+        assert side.F is F
+        with pytest.raises(ValueError):
+            side.F[0] = 0.0
 
 
 def test_split_at_cutoff_empty_side():

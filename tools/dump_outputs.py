@@ -153,6 +153,13 @@ def main(src, out_path):
             region = kernels.classify_region(x, h, 0.0, 1.0)
             for p in range(4):
                 call(f"moments {family} {kind} p={p}", kernels.moments, family, region, p)
+    # pow's slow negative-base path, and runs of tied u that hold both -0.0 and 0.0
+    windows = {"negative": samples["raw"].values[:40] / 3.0,
+               "heaped": np.sort(np.append(np.round(raw[:80], 1), [-0.0, 0.0])) / 2.0}
+    for name, u in windows.items():
+        for basis in lp.BasisKind:
+            for p in range(6):
+                call(f"basis_matrix {name} {basis.value} p={p}", kernels.basis_matrix, u, p, basis)
 
     with open(out_path, "w") as fh:
         json.dump(entries, fh, indent=0)
