@@ -16,7 +16,7 @@ from .errors import InsufficientData, NegativeDensity, NonPositiveVariance, Sing
 from .kernels import BasisKind, EvalRegion, factorial, moments, selector
 from .lpfit import LocalFit, derivative_estimate, fit_local
 from .sample import Sample, edf_values
-from .variance import _dense_gamma_hat, quadratic_form
+from .variance import variance_constant
 
 _ZERO_BIAS_TOL = 1e-12
 
@@ -102,12 +102,6 @@ def _golden_section(objective, lo: float, hi: float):
         if b - a < 1e-8:
             break
     return float(np.exp((a + b) / 2.0))
-
-
-def variance_constant(sample: Sample, fit: LocalFit, v: int) -> float:
-    """V-hat such that variance(h) ~= V-hat / (n h^{2v-1}), from Gamma-hat at ell = ``fit.h``."""
-    q = quadratic_form(fit, _dense_gamma_hat(sample, fit), selector(fit.p, fit.basis, v))
-    return factorial(v) ** 2 * max(q, 0.0) / fit.h
 
 
 def mse_bandwidth(

@@ -64,7 +64,7 @@ def _estimate_point(sample, x, p, v, kernel, alpha, h):
     fit_ci = fit_local(sample, x, h, p + 1, kernel)
     f_ci = derivative_estimate(fit_ci, v)
     se = standard_error(sample, fit_ci, v)
-    z = ndtri(1.0 - alpha / 2.0)
+    z = float(ndtri(1.0 - alpha / 2.0))
     return DensityEstimate(
         x=x,
         v=v,

@@ -18,13 +18,12 @@ from .bandwidth import (
     closed_form_h,
     estimate_bias_constants,
     preliminary_bandwidth,
-    variance_constant,
 )
 from .errors import LpDensError, NonPositiveVariance, ZeroBias
 from .kernels import BasisKind, factorial
 from .lpfit import derivative_estimate, fit_local
 from .sample import Sample, split_at_cutoff
-from .variance import difference_se, standard_error
+from .variance import difference_se, standard_error, variance_constant
 
 
 @dataclass(frozen=True)

@@ -80,13 +80,13 @@ def load_sample(raw, support=None) -> Sample:
 
 
 def load_csv(path, support=None) -> Sample:
-    """Read a single numeric column from ``path``; optional header row.
+    """Read a single numeric column from UTF-8 ``path`` (a BOM is dropped); optional header row.
 
     Any non-header line that fails to parse is a hard error with its
     line number.
     """
     values = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:

@@ -54,7 +54,7 @@ def gamma_hat(sample: Sample, fit: LocalFit) -> np.ndarray:
 def _dense_gamma_hat(sample: Sample, fit: LocalFit) -> np.ndarray:
     """Gamma-hat as the dense n^-2 A' M A, for the bandwidth pilot only.
 
-    ``bandwidth.variance_constant`` calls this O(m^2) form so that every
+    :func:`variance_constant` calls this O(m^2) form so that every
     selected bandwidth keeps the bits of the dense product: they reach h and
     then the nearly cancelled density jump of ``cutoff_test``. It goes when
     the benchmark's reference outputs are next re-recorded, and the pilot
@@ -104,10 +104,11 @@ def _dense_gamma_hat(sample: Sample, fit: LocalFit) -> np.ndarray:
     return (AM @ A) / fit.n**2
 
 
-def quadratic_form(fit: LocalFit, G: np.ndarray, e: np.ndarray) -> float:
-    """q = e' S^-1 G S^-1 e for a selector e and a variance matrix G."""
-    z = fit.solve_S(e)
-    return float(z @ G @ z)
+def variance_constant(sample: Sample, fit: LocalFit, v: int) -> float:
+    """V-hat such that variance(h) ~= V-hat / (n h^{2v-1}), from Gamma-hat at ell = ``fit.h``."""
+    z = fit.solve_S(selector(fit.p, fit.basis, v))
+    q = float(z @ _dense_gamma_hat(sample, fit) @ z)
+    return factorial(v) ** 2 * max(q, 0.0) / fit.h
 
 
 def _se(fit: LocalFit, G: np.ndarray, e: np.ndarray, v: int) -> float:
@@ -123,7 +124,7 @@ def _se(fit: LocalFit, G: np.ndarray, e: np.ndarray, v: int) -> float:
     if not q > bound:
         raise NonPositiveVariance(
             f"variance quadratic form {q:.3e} is within its rounding bound {bound:.3e}")
-    return factorial(v) * np.sqrt(q / (fit.n * fit.h ** (2 * v)))
+    return float(factorial(v) * np.sqrt(q / (fit.n * fit.h ** (2 * v))))
 
 
 def standard_error(sample: Sample, fit: LocalFit, v: int, side: str | None = None) -> float:

@@ -46,11 +46,24 @@ def test_tracer_hooks_count_real_calls():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    s = sample.load_sample(np.round(np.random.default_rng(0).normal(size=800), 1))
+    raw = np.random.default_rng(0).normal(size=800)
+    s = sample.load_sample(np.round(raw, 1))
     with tracer.Tracer() as t:
         bandwidth.mse_bandwidth(s, 0.3, 2, 0)  # v = 0 interior: a moments call
+        bandwidth.mse_bandwidth(s, 0.3, 2, 1)  # v = 1: a variance constant
         maniptest.rbc_test(s, 0.05, model="restricted")  # a bandwidth fallback
+        maniptest.rbc_test(sample.load_sample(raw), 0.0)  # a variance constant per side
     for key in ("lpfit.fit_local.window_pts", "variance.gamma_hat.window_pts",
                 "kernels.basis_matrix.rows", "maniptest.rbc_test.fallbacks"):
         assert t.counts[key] > 0, key
     assert t.moment_keys
+    # the pilot's variance constant is counted under its bandwidth label from
+    # both callers, wherever the function is defined
+    tops = []
+    for span in t.spans:
+        if span[0] == "bandwidth.variance_constant":
+            while span[3] is not None:
+                span = t.spans[span[3]]
+            tops.append(span[0])
+    assert set(tops) == {"bandwidth.mse_bandwidth", "maniptest.rbc_test"}
+    assert t.layer_stats()[0]["bandwidth.variance_constant"][0] == len(tops)

@@ -43,6 +43,7 @@ def test_estimate_grid_schema_and_values(exp_sample):
         assert e.f_hat == pytest.approx(np.exp(-e.x), abs=0.15)
         assert e.ci_low < e.ci_high
         assert e.se > 0 and e.m_eff > 0
+        assert all(type(val) is float for val in (e.f_hat, e.se, e.ci_low, e.ci_high))
     # each record value is its attribute, for an estimate and a soft failure
     failed = estimate_grid(exp_sample, [-1.0])[0]
     assert failed.error == "outside-support"

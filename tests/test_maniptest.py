@@ -109,6 +109,7 @@ def test_rbc_orders(normal_sample, model):
     assert res.model == model
     assert res.p_point == 2 and res.p_infer == 3
     assert res.h_minus == res.h_plus > 0
+    assert type(res.T) is float and type(res.se_diff) is float
 
 
 def test_diff_mse_bandwidth_positive(normal_sample):

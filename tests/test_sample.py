@@ -67,6 +67,14 @@ def test_load_csv_plain_and_header(tmp_path):
     assert load_csv(headed).n == 2
 
 
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+@pytest.mark.parametrize("header", [b"", b"score\n"], ids=["no-header", "header"])
+def test_load_csv_utf8_bom_keeps_the_first_line(tmp_path, bom, header):
+    f = tmp_path / "data.csv"
+    f.write_bytes(bom + header + b"0.5\n1.5\n2.5\n3.5\n")
+    assert np.array_equal(load_csv(f).values, [0.5, 1.5, 2.5, 3.5])
+
+
 def test_load_csv_reports_bad_line_number(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("1.0\n2.0\noops\n3.0\n")

@@ -20,7 +20,6 @@ from lpdens.variance import (
     jackknife_gamma,
     jackknife_se,
     plugin_se,
-    quadratic_form,
     standard_error,
 )
 
@@ -169,8 +168,9 @@ def test_standard_error_positive_and_scaling(small_sample):
     fit = fit_local(small_sample, 0.1, 0.9, 2)
     se = standard_error(small_sample, fit, 1)
     assert se > 0
-    # se = 1! sqrt(q / (n h^2))
-    q = quadratic_form(fit, gamma_hat(small_sample, fit), selector(fit.p, fit.basis, 1))
+    # se = 1! sqrt(q / (n h^2)), q = z' Gamma-hat z, z = S^-1 e_1
+    z = fit.solve_S(selector(fit.p, fit.basis, 1))
+    q = float(z @ gamma_hat(small_sample, fit) @ z)
     want = np.sqrt(q / (small_sample.n * fit.h**2))
     assert se == pytest.approx(want)
 
@@ -184,7 +184,7 @@ def test_difference_se_requires_cutoff_basis(small_sample):
 def test_difference_se_runs_on_joint_fit(small_sample):
     fit = fit_local(small_sample, 0.0, 1.2, 1, basis=BasisKind.UNRESTRICTED)
     se = difference_se(small_sample, fit)
-    assert isinstance(se, float) and se > 0
+    assert type(se) is float and se > 0
 
 
 def test_plugin_se_matches_derived_value():
