@@ -10,6 +10,7 @@ bandwidth's order p; the robust bias-corrected ``rbc_test`` runs it at p + 1.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtr
@@ -84,6 +85,7 @@ def _side_constants(side: Sample, cutoff: float, p: int, kernel: str) -> tuple[f
     return B, variance_constant(side, fit, 1)
 
 
+@lru_cache(maxsize=1)
 def diff_mse_bandwidth(sample: Sample, cutoff: float, p: int, kernel: str = "triangular") -> DiffBandwidth:
     """Bandwidths MSE-optimal for the jump estimator f(c+) - f(c-).
 
@@ -96,6 +98,10 @@ def diff_mse_bandwidth(sample: Sample, cutoff: float, p: int, kernel: str = "tri
     When the difference bias cancels numerically the common bandwidth
     falls back to the smaller per-side bandwidth. Per-side bandwidths
     from per-side MSE are always reported.
+
+    The last selection is memoized on the sample's identity and the other
+    arguments as passed, so the models of one cutoff share it; the memo keeps
+    that sample alive, and a selection that raises runs again.
     """
     if p < 1:
         raise ValueError(f"p must be at least 1 for the density jump, got {p}")
@@ -201,6 +207,7 @@ def rbc_test(
     """Robust bias-corrected test: bandwidth tuned for order p, :func:`cutoff_test` at p+1.
 
     A typed bandwidth failure falls back to the preliminary bandwidth, named in ``warnings``.
+    The models of one cutoff share one memoized selection; a failed one runs again.
     """
     warnings = ()
     try:

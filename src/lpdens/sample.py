@@ -10,13 +10,14 @@ import numpy as np
 from .errors import CsvParseError, EmptySide, NonFinite, SupportViolation, TooFew
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sample:
     """Sorted, validated observations with support endpoint metadata.
 
     ``values`` is ascending and finite;
     ``support_lower``/``support_upper`` may be ``-inf``/``+inf`` for
-    unbounded support. Immutable: safe to share across threads.
+    unbounded support. Immutable: safe to share across threads. Compares
+    and hashes by identity, since its values are an array.
     """
 
     values: np.ndarray

@@ -86,6 +86,9 @@ def test_pilot_fit_runs_once(monkeypatch):
     calls.clear()
     maniptest.diff_mse_bandwidth(s, 1.0, 2)
     assert sorted(calls) == [2, 2, 4, 4, 4, 4]  # per side: p, p+2, whole-side p+2
+    calls.clear()
+    maniptest.diff_mse_bandwidth(s, 1.0, 2)
+    assert calls == []  # the memoized selection
 
 
 def test_mse_bandwidth_case_dispatch():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lpdens import maniptest
 from lpdens.errors import EmptySide, LpDensError, NonPositiveVariance, SingularDesign
 from lpdens.kernels import BasisKind
 from lpdens.lpfit import derivative_estimate, fit_local
@@ -170,6 +171,46 @@ def test_rbc_singular_pilot_takes_the_fallback():
         diff_mse_bandwidth(s, 0.3, 2)
     with pytest.raises(NonPositiveVariance):
         rbc_test(s, 0.3)
+
+
+@pytest.fixture
+def side_calls(monkeypatch):
+    """Sample sizes of the sides whose bandwidth constants are computed."""
+    calls = []
+    side_constants = maniptest._side_constants
+
+    def counting(side, *args):
+        calls.append(side.n)
+        return side_constants(side, *args)
+
+    monkeypatch.setattr(maniptest, "_side_constants", counting)
+    return calls
+
+
+def test_models_share_one_bandwidth_selection(normal_sample, side_calls):
+    results = [rbc_test(normal_sample, 0.2, model=model) for model in MODELS]
+    assert len(side_calls) == 2  # once per side, for all three models
+    for model, res in zip(MODELS, results):
+        diff_mse_bandwidth.cache_clear()
+        assert rbc_test(normal_sample, 0.2, model=model).record() == res.record()
+
+
+def test_reloaded_sample_selects_again(normal_sample, side_calls):
+    bw = diff_mse_bandwidth(normal_sample, 0.2, 2)
+    again = load_sample(normal_sample.values)
+    assert diff_mse_bandwidth(again, 0.2, 2) == bw
+    assert len(side_calls) == 4
+
+
+def test_failed_selection_is_not_memoized(side_calls):
+    # the input of test_rbc_singular_pilot_takes_the_fallback
+    s = load_sample(np.round(np.random.default_rng(3).normal(size=500), 1))
+    first = rbc_test(s, 0.3, model="restricted")
+    once = len(side_calls)
+    second = rbc_test(s, 0.3, model="restricted")
+    tag = ("bandwidth-fallback-preliminary:SingularDesign",)
+    assert first.warnings == second.warnings == tag
+    assert once > 0 and len(side_calls) == 2 * once
 
 
 @pytest.mark.parametrize("model", ["unrestricted", "restricted"])

@@ -31,6 +31,14 @@ def test_load_sample_values_are_immutable():
         s.values[0] = 5.0
 
 
+def test_sample_compares_by_identity():
+    # equality of the values array was ambiguous; the bandwidth memo keys on identity
+    s = load_sample([1.0, 2.0, 3.0])
+    again = load_sample([1.0, 2.0, 3.0])
+    assert hash(s) == hash(s) and s == s
+    assert s != again and hash(s) != hash(again)
+
+
 def test_sample_sd_is_computed_once():
     vals = np.random.default_rng(12).normal(size=1000)
     s = load_sample(vals)
