@@ -16,7 +16,7 @@ from .errors import InsufficientData, NegativeDensity, NonPositiveVariance, Sing
 from .kernels import BasisKind, EvalRegion, factorial, moments, selector
 from .lpfit import LocalFit, derivative_estimate, fit_local
 from .sample import Sample, edf_values
-from .variance import variance_constant
+from .variance import gamma_hat, variance_constant
 
 _ZERO_BIAS_TOL = 1e-12
 
@@ -129,7 +129,7 @@ def mse_bandwidth(
 
     n = sample.n
     if v >= 1:
-        V = variance_constant(sample, fit, v)
+        V = variance_constant(fit, gamma_hat(sample, fit), v)
         order, tag = mse_case(fit.region, p, v)
         B = B1 if order == 1 else B2
         h = closed_form_h(V, B, n, p, v, order)
@@ -153,7 +153,7 @@ def mse_bandwidth(
     else:
         # boundary: no well-defined asymptotic optimum; use the
         # ell-dependent empirical variance (documented as such)
-        V1 = variance_constant(sample, fit, 0)
+        V1 = variance_constant(fit, gamma_hat(sample, fit), 0)
         tag = "cdf_boundary_empirical"
 
     def objective(h):

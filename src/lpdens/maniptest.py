@@ -24,7 +24,7 @@ from .errors import LpDensError, NonPositiveVariance, ZeroBias
 from .kernels import BasisKind, factorial
 from .lpfit import derivative_estimate, fit_local
 from .sample import Sample, split_at_cutoff
-from .variance import difference_se, standard_error, variance_constant
+from .variance import dense_gamma_hat, difference_se, standard_error, variance_constant
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def _side_constants(side: Sample, cutoff: float, p: int, kernel: str) -> tuple[f
     bc = estimate_bias_constants(side, fit)
     pilot = fit_local(side, cutoff, side.span, p + 2, kernel)
     B = derivative_estimate(pilot, p + 1) / factorial(p + 1) * float(bc.Sinv_c[1])
-    return B, variance_constant(side, fit, 1)
+    return B, variance_constant(fit, dense_gamma_hat(side, fit), 1)
 
 
 @lru_cache(maxsize=1)

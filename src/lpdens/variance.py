@@ -1,9 +1,10 @@
-"""Standard errors for the local fit.
+"""Standard errors and the bandwidth pilots' variance constant for the local fit.
 
 Three routes: the automatic Gamma-hat estimator (default, boundary
 adaptive, no support knowledge needed), the jackknife (Gamma-hat plus
 terms from the fit's window; both take O(m d^2) for m in-window points),
 and a plug-in variant from quadrature moment matrices and the estimated density.
+The pilots' variance constant takes Gamma-hat too, bar the jump bandwidth's dense O(m^2) form.
 """
 
 from __future__ import annotations
@@ -51,14 +52,14 @@ def gamma_hat(sample: Sample, fit: LocalFit) -> np.ndarray:
     return ((A * (F * (1.0 - F))[:, None]).T @ A + P + P.T) / fit.n**2
 
 
-def _dense_gamma_hat(sample: Sample, fit: LocalFit) -> np.ndarray:
-    """Gamma-hat as the dense n^-2 A' M A, for the bandwidth pilot only.
+def dense_gamma_hat(sample: Sample, fit: LocalFit) -> np.ndarray:
+    """Gamma-hat as the dense n^-2 A' M A, for the jump bandwidth's side pilots only.
 
-    :func:`variance_constant` calls this O(m^2) form so that every
-    selected bandwidth keeps the bits of the dense product: they reach h and
-    then the nearly cancelled density jump of ``cutoff_test``. It goes when
-    the benchmark's reference outputs are next re-recorded, and the pilot
-    then calls :func:`gamma_hat`.
+    ``maniptest`` passes this O(m^2) form to :func:`variance_constant` so
+    that every jump bandwidth keeps the bits of the dense product: they reach
+    h and then the nearly cancelled density jump of ``cutoff_test``. It goes
+    when the benchmark's reference outputs are next re-recorded, and those
+    pilots then take :func:`gamma_hat`.
 
     M is never held whole: it is cut into ``max(1, m^2 // 2^20)`` row blocks
     of equal height (edges ``m i // blocks``), each filled in chunks of about
@@ -104,10 +105,10 @@ def _dense_gamma_hat(sample: Sample, fit: LocalFit) -> np.ndarray:
     return (AM @ A) / fit.n**2
 
 
-def variance_constant(sample: Sample, fit: LocalFit, v: int) -> float:
-    """V-hat such that variance(h) ~= V-hat / (n h^{2v-1}), from Gamma-hat at ell = ``fit.h``."""
+def variance_constant(fit: LocalFit, G: np.ndarray, v: int) -> float:
+    """V-hat with variance(h) ~= V-hat / (n h^{2v-1}), from the fit's Gamma-hat G at ell = ``fit.h``."""
     z = fit.solve_S(selector(fit.p, fit.basis, v))
-    q = float(z @ _dense_gamma_hat(sample, fit) @ z)
+    q = float(z @ G @ z)
     return factorial(v) ** 2 * max(q, 0.0) / fit.h
 
 

@@ -1,5 +1,7 @@
 """Bandwidth selection: closed form, optimality, case dispatch, guards."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,14 @@ from lpdens.bandwidth import (
     mse_bandwidth,
     preliminary_bandwidth,
 )
-from lpdens import bandwidth, maniptest
+from lpdens import bandwidth, maniptest, variance
+from lpdens.density import estimate_grid
 from lpdens.errors import NegativeDensity, NonPositiveVariance, ZeroBias, ZeroVariance
-from lpdens.kernels import moments
+from lpdens.kernels import factorial, moments, selector
 from lpdens.lpfit import derivative_estimate, fit_local
 from lpdens.sample import load_sample
+from lpdens.simulation import SimDesign, get_dgp, run_design
+from lpdens.variance import dense_gamma_hat, variance_constant
 
 
 def test_closed_form_value():
@@ -171,3 +176,42 @@ def test_mse_bandwidth_order_guard():
     s = load_sample(np.linspace(0, 1, 100))
     with pytest.raises(ValueError):
         mse_bandwidth(s, 0.5, 2, 3)
+
+
+def test_density_path_never_takes_the_dense_gamma_hat(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dense Gamma-hat called")
+
+    # wherever lpdens binds the dense O(m^2) form
+    original = variance.dense_gamma_hat
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "lpdens" or name.startswith("lpdens.")):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, refuse)
+    s = load_sample(np.random.default_rng(4).exponential(size=3000), support=(0.0, np.inf))
+    with pytest.raises(AssertionError, match="dense Gamma-hat"):
+        maniptest.diff_mse_bandwidth(s, 1.0, 2)  # the stand-in is in place
+    for x, v in ((1.0, 1), (0.02, 1), (0.05, 0)):  # interior, boundary, cdf_boundary_empirical
+        (est,) = estimate_grid(s, [x], p=2, v=v)
+        assert est.error is None and est.se > 0
+    assert mse_bandwidth(s, 0.05, 2, 0).case_tag == "cdf_boundary_empirical"
+    design = SimDesign(dgp=get_dgp("exponential"), eval_points=(0.05, 1.0), n=400, reps=4,
+                       bandwidth_rule="mse_estimated", seed=5)
+    assert all(row["valid"] for row in run_design(design))
+
+
+@pytest.mark.parametrize("x", [0.02, 1.0])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_variance_constant_matches_the_dense_form(x, p):
+    # the pilot's suffix-sum Gamma-hat gives the dense product's V to 1e-12
+    # of the unsigned form v!^2 |z|'|G||z| / h, the scale its rounding acts
+    # on: at p = 3 on the boundary z'Gz cancels to 1e-4 of it
+    s = load_sample(np.random.default_rng(6).exponential(size=4000), support=(0.0, np.inf))
+    fit = fit_local(s, x, preliminary_bandwidth(s), p)
+    G = dense_gamma_hat(s, fit)
+    for v in range(1, p + 1):
+        z = np.abs(fit.solve_S(selector(p, fit.basis, v)))
+        scale = factorial(v) ** 2 * float(z @ np.abs(G) @ z) / fit.h
+        got = mse_bandwidth(s, x, p, v).variance_constant
+        assert abs(got - variance_constant(fit, G, v)) <= 1e-12 * scale

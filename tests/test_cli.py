@@ -185,7 +185,8 @@ def test_simulate_zero_threads_is_a_value_error(design_json, capsys):
     (["simulate"], "lpdens.simulation.run_design"),
 ])
 def test_memory_error_is_tagged(data_csv, design_json, monkeypatch, capsys, argv, target):
-    # the dense Gamma-hat raises MemoryError on large windows; stand in for it
+    # any allocation that fails under a command (say, the EDF of a huge
+    # input) raises MemoryError; stand in for it where the command enters lpdens
     def out_of_memory(*args, **kwargs):
         raise MemoryError
 

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from lpdens import maniptest
+from lpdens.bandwidth import preliminary_bandwidth
 from lpdens.errors import EmptySide, LpDensError, NonPositiveVariance, SingularDesign
 from lpdens.kernels import BasisKind
 from lpdens.lpfit import derivative_estimate, fit_local
 from lpdens.maniptest import MODELS, cutoff_test, diff_mse_bandwidth, rbc_test
 from lpdens.sample import load_sample, split_at_cutoff
+from lpdens.variance import dense_gamma_hat, variance_constant
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +119,23 @@ def test_diff_mse_bandwidth_positive(normal_sample):
     bw = diff_mse_bandwidth(normal_sample, 0.0, 2)
     assert bw.h_common > 0 and bw.h_minus > 0 and bw.h_plus > 0
     assert bw.variance_diff > 0
+
+
+@pytest.mark.parametrize("step", [None, 0.05])
+def test_jump_bandwidth_variance_is_the_dense_form(step):
+    # each side pilot's V comes from the dense Gamma-hat, bit for bit: the
+    # nearly cancelled jump statistic carries its last bits, and here the
+    # suffix-sum Gamma-hat gives both sides other bits. On the heaped data the
+    # cutoff lies midway between two mass points, where the selection succeeds
+    x = np.random.default_rng(7).normal(size=10_000)
+    s = load_sample(x if step is None else np.round(x / step) * step)
+    left, right, n_minus, n_plus = split_at_cutoff(s, 0.025)
+    V = []
+    for side in (left, right):
+        fit = fit_local(side, 0.025, preliminary_bandwidth(side), 2)
+        V.append(variance_constant(fit, dense_gamma_hat(side, fit), 1))
+    want = (n_plus / s.n) * V[1] + (n_minus / s.n) * V[0]
+    assert diff_mse_bandwidth(s, 0.025, 2).variance_diff == want
 
 
 def test_diff_bandwidth_zero_bias_falls_back_to_smaller_side():

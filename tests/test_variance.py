@@ -14,7 +14,7 @@ from lpdens.kernels import BasisKind, selector
 from lpdens.lpfit import fit_local
 from lpdens.sample import edf_values, load_sample
 from lpdens.variance import (
-    _dense_gamma_hat,
+    dense_gamma_hat,
     difference_se,
     gamma_hat,
     jackknife_gamma,
@@ -219,7 +219,7 @@ def large_samples():
 
 
 def _dense_gamma(s, fit):
-    """The dense n^-2 A' M A that _dense_gamma_hat streams in row blocks."""
+    """The dense n^-2 A' M A that dense_gamma_hat streams in row blocks."""
     A = fit.R * fit.w[:, None]
     F = edf_values(s, fit.xw)
     M = np.minimum.outer(F, F)
@@ -231,7 +231,7 @@ def _dense_gamma(s, fit):
 #: 8,192 elements, does not copy through the buffer (a third of it, rounded up)
 _UNBUFFERED_ROW = 2_731
 
-# (basis, h) -> (x, the row blocks _dense_gamma_hat cuts the window's m x m matrix
+# (basis, h) -> (x, the row blocks dense_gamma_hat cuts the window's m x m matrix
 # into, the range of m), on raw and heaped data alike: m of 2,000 to 3,000,
 # then m of about 1,400 (one block), 1,600 (two blocks) and 4,950 (23
 # blocks); then m just below and just above numpy's unbuffered switch, and m
@@ -266,8 +266,8 @@ def test_dense_gamma_hat_bit_identical_to_dense_outer_form(large_samples, data, 
         # leaves nothing that changes this one
         larger = fit_local(s, 0.1, 0.8, 2)
         assert larger.m_eff > fit.m_eff
-        _dense_gamma_hat(s, larger)
-    assert np.array_equal(_dense_gamma_hat(s, fit), _dense_gamma(s, fit))
+        dense_gamma_hat(s, larger)
+    assert np.array_equal(dense_gamma_hat(s, fit), _dense_gamma(s, fit))
 
 
 @pytest.mark.parametrize("data", ["raw", "heaped"])
@@ -278,7 +278,7 @@ def test_dense_gamma_hat_one_block_is_the_dense_product_at_d_1(large_samples, da
     s = large_samples[data]
     fit = fit_local(s, 0.15, 0.1, 0)
     assert fit.R.shape[1] == 1 and max(1, fit.m_eff**2 // 2**20) == 1
-    assert np.array_equal(_dense_gamma_hat(s, fit), _dense_gamma(s, fit))
+    assert np.array_equal(dense_gamma_hat(s, fit), _dense_gamma(s, fit))
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
@@ -305,7 +305,7 @@ def test_dense_gamma_hat_peak_memory_is_one_matrix():
     assert fit.m_eff >= 10_000
     tracemalloc.start()
     try:
-        _dense_gamma_hat(s, fit)
+        dense_gamma_hat(s, fit)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -330,11 +330,11 @@ def test_gamma_hat_peak_memory_is_o_of_m_d(basis):
 @pytest.mark.parametrize("data", ["raw", "heaped"])
 @pytest.mark.parametrize("basis,h", list(_DENSE_WINDOWS))
 def test_gamma_hat_matches_the_dense_pilot_form(large_samples, data, basis, h):
-    # the suffix sums and the bandwidth pilot's dense product sum the same
+    # the suffix sums and the jump bandwidth pilots' dense product sum the same
     # terms in different orders
     s = large_samples[data]
     fit = fit_local(s, _DENSE_WINDOWS[basis, h][0], h, 2, basis=basis)
-    dense = _dense_gamma_hat(s, fit)
+    dense = dense_gamma_hat(s, fit)
     assert np.max(np.abs(gamma_hat(s, fit) - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
@@ -347,7 +347,7 @@ def test_dense_gamma_hat_restores_the_ufunc_buffer(large_samples, bufsize):
     old = np.getbufsize() if bufsize is None else np.setbufsize(bufsize)
     try:
         want = np.getbufsize()
-        _dense_gamma_hat(s, fit)
+        dense_gamma_hat(s, fit)
         assert np.getbufsize() == want
     finally:
         np.setbufsize(old)
@@ -364,14 +364,14 @@ def test_dense_gamma_hat_restores_the_ufunc_buffer_on_error(large_samples, monke
 
     monkeypatch.setattr(np, "minimum", fail)
     with pytest.raises(MemoryError):
-        _dense_gamma_hat(s, fit)
+        dense_gamma_hat(s, fit)
     assert np.getbufsize() == want
 
 
 def test_dense_gamma_hat_is_thread_safe(large_samples):
     fits = {name: fit_local(s, 0.1, 0.3, 2) for name, s in large_samples.items()}
     assert fits["raw"].m_eff != fits["heaped"].m_eff
-    serial = {name: _dense_gamma_hat(large_samples[name], fit) for name, fit in fits.items()}
+    serial = {name: dense_gamma_hat(large_samples[name], fit) for name, fit in fits.items()}
     start = threading.Barrier(2)
     # numpy's ufunc buffer size is per thread: each worker sets its own, and
     # finds it unchanged after a call that ran alongside the other's
@@ -381,7 +381,7 @@ def test_dense_gamma_hat_is_thread_safe(large_samples):
         old = np.setbufsize(bufsizes[name])
         try:
             start.wait()
-            return _dense_gamma_hat(large_samples[name], fits[name]), np.getbufsize()
+            return dense_gamma_hat(large_samples[name], fits[name]), np.getbufsize()
         finally:
             np.setbufsize(old)
 
