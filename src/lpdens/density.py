@@ -44,14 +44,12 @@ class DensityEstimate:
 
 def default_grid(sample: Sample, n_points: int) -> np.ndarray:
     """Quantile grid: at most ``n_points`` distinct EDF inverses at equispaced
-    probabilities, endpoints kept; the inverse maps probability q to the order
-    statistic at index ceil(q n) - 1 (the lower-midpoint convention).
+    probabilities, endpoints kept, by numpy's ``inverted_cdf`` quantile method.
     """
     if n_points < 2:
         raise EmptyGrid("grid needs at least 2 points")
     probs = np.linspace(0.0, 1.0, n_points)
-    idx = np.clip(np.ceil(probs * sample.n).astype(int) - 1, 0, sample.n - 1)
-    return np.unique(sample.values[idx]).astype(float)
+    return np.unique(np.quantile(sample.values, probs, method="inverted_cdf"))
 
 
 def _estimate_point(sample, x, p, v, kernel, alpha, h):

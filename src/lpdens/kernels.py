@@ -189,8 +189,6 @@ def moments(family: str, region: EvalRegion, p: int) -> KernelMoments:
     """
     if p < 0:
         raise ValueError("p must be nonnegative")
-    if family not in KERNEL_FAMILIES:
-        raise ValueError(f"unknown kernel family {family!r}")
     a, b = region.a, region.b
     if b - a < _DEGENERATE_TOL:
         raise DegenerateRegion(f"region [{a}, {b}] is degenerate")

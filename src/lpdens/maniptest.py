@@ -142,13 +142,13 @@ def cutoff_test(
 ) -> ManipulationTestResult:
     """Conventional test of density continuity at the cutoff: the studentized jump at order p.
 
-    A missing bandwidth is the MSE-optimal common one. A common bandwidth
-    in the unrestricted or restricted model fits the pooled EDF in that
-    model's split basis; f_minus/f_plus are the joint one-sided density
-    estimates. The separate model, and any pair of distinct bandwidths,
-    fits each side's own EDF; f_minus/f_plus are then conditional density
-    estimates entering T with weights n_minus/n and n_plus/n. A standard
-    error that is not positive raises :class:`NonPositiveVariance`.
+    A missing bandwidth is the MSE-optimal common one. The unrestricted and
+    restricted models fit the pooled EDF in their split basis at one common
+    bandwidth, and two distinct ones raise ``ValueError``; f_minus/f_plus are
+    the joint one-sided density estimates. The separate model fits each
+    side's own EDF at its own bandwidth; f_minus/f_plus are then conditional
+    density estimates entering T with weights n_minus/n and n_plus/n. A
+    standard error that is not positive raises :class:`NonPositiveVariance`.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
@@ -156,9 +156,11 @@ def cutoff_test(
         h_common = diff_mse_bandwidth(sample, cutoff, p, kernel).h_common
         h_minus = h_common if h_minus is None else h_minus
         h_plus = h_common if h_plus is None else h_plus
+    if model != "separate" and h_minus != h_plus:
+        raise ValueError(f"the {model} model fits one bandwidth, got h_minus={h_minus}, h_plus={h_plus}")
     left, right, n_minus, n_plus = split_at_cutoff(sample, cutoff)
-    if model == "separate" or h_minus != h_plus:
-        model, n = "separate", sample.n
+    if model == "separate":
+        n = sample.n
         fit_m = fit_local(left, cutoff, h_minus, p, kernel)
         fit_p = fit_local(right, cutoff, h_plus, p, kernel)
         f_minus = derivative_estimate(fit_m, 1)

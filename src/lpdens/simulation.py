@@ -26,7 +26,7 @@ from .lpfit import derivative_estimate, fit_local
 from .sample import load_sample
 from .variance import standard_error
 
-_Z_5PCT = 1.959964  # Phi^{-1}(0.975) to six decimals
+_Z_5PCT = float(ndtri(0.975))
 
 SUMMARY_COLUMNS = ("x", "n", "p", "kernel", "bw_rule", "bias", "sd", "rmse", "se_mean", "size")
 #: columns of ``lpdens simulate --format csv``
@@ -49,16 +49,6 @@ class DGP:
         return self.cdf_deriv(x, 1)
 
 
-def _hermite_prob(x: float, m: int) -> float:
-    # probabilists' Hermite polynomials: He_{m+1} = x He_m - m He_{m-1}
-    a, b = 1.0, x
-    if m == 0:
-        return a
-    for k in range(1, m):
-        a, b = b, x * b - k * a
-    return b
-
-
 class _TruncatedNormal(DGP):
     name = "truncated_normal"
     support = (-0.8, np.inf)
@@ -74,7 +64,8 @@ class _TruncatedNormal(DGP):
     def cdf_deriv(self, x, k):
         # F^(k) = phi^(k-1)/z, phi^(m)(x) = (-1)^m He_m(x) phi(x)
         m = k - 1
-        return (-1.0) ** m * _hermite_prob(x, m) * (np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi)) / self.z
+        He_m = np.polynomial.hermite_e.hermeval(x, [0.0] * m + [1.0])
+        return (-1.0) ** m * He_m * (np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi)) / self.z
 
 
 class _Exponential(DGP):

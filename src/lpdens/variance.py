@@ -77,9 +77,7 @@ def dense_gamma_hat(sample: Sample, fit: LocalFit) -> np.ndarray:
     The bits are those of the dense ``A.T @ M @ A``. One block is M itself.
     Across blocks each column of ``A' M`` sums the same m terms in the same
     order, provided every block's GEMM takes the dense product's BLAS kernel;
-    a short block (below about 1e6 multiply-adds) would not, hence equal
-    heights. At d = 1 (p = 0 pilot fits) numpy runs a matrix-vector product,
-    whose last bits can differ on a transposed block: once m > 1,448.
+    a short block (below about 1e6 multiply-adds) would not, hence equal heights.
     """
     A = fit.Rw
     F = sample.F[fit.window]

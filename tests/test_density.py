@@ -25,6 +25,18 @@ def test_default_grid_quantile_convention():
     grid = default_grid(s, 5)
     # q in {0, .25, .5, .75, 1} -> order statistics ceil(q n) with floor 1
     assert np.array_equal(grid, [1.0, 3.0, 5.0, 8.0, 10.0])
+    # the same rule written out, on odd n, ties, heaped draws and grid sizes
+    # where q n rounds: the sorted value at index ceil(q n) - 1, clipped to [0, n - 1]
+    rng = np.random.default_rng(23)
+    samples = [np.arange(7.0), rng.normal(size=7), rng.normal(size=100),
+               np.round(rng.normal(size=100), 1), np.round(rng.normal(size=1001), 2),
+               np.repeat([0.5, 1.0, 2.5], [3, 1, 5])]
+    for values in samples:
+        s = load_sample(values)
+        for n_points in (2, 3, 5, 33, 101, 1000):
+            probs = np.linspace(0.0, 1.0, n_points)
+            idx = np.clip(np.ceil(probs * s.n).astype(int) - 1, 0, s.n - 1)
+            assert np.array_equal(default_grid(s, n_points), np.unique(s.values[idx]))
 
 
 def test_default_grid_too_small():

@@ -5,28 +5,33 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import lpdens
 
 REPO = Path(__file__).resolve().parents[1]
 
 
-def test_dump_outputs_is_deterministic(tmp_path):
-    # a public rename would break the tool; an output that varies between runs
-    # would make its before/after `cmp` meaningless
+@pytest.fixture(scope="module")
+def dumps(tmp_path_factory):
+    """Two independent runs of the dump tool on this checkout; both tests read them."""
     src = str(Path(lpdens.__file__).resolve().parents[1])
-    outs = [tmp_path / f"dump{i}.json" for i in range(2)]
+    outs = [tmp_path_factory.mktemp("dumps") / f"dump{i}.json" for i in range(2)]
     for out in outs:
         subprocess.run([sys.executable, str(REPO / "tools" / "dump_outputs.py"), src, str(out)],
                        check=True, capture_output=True, timeout=300)
-    assert outs[0].read_bytes() == outs[1].read_bytes()
-    assert outs[0].stat().st_size > 0
+    return outs
 
 
-def test_compare_dumps_names_changed_labels(tmp_path):
-    src = str(Path(lpdens.__file__).resolve().parents[1])
-    dump = tmp_path / "dump.json"
-    subprocess.run([sys.executable, str(REPO / "tools" / "dump_outputs.py"), src, str(dump)],
-                   check=True, capture_output=True, timeout=300)
+def test_dump_outputs_is_deterministic(dumps):
+    # a public rename would break the tool; an output that varies between runs
+    # would make its before/after `cmp` meaningless
+    assert dumps[0].read_bytes() == dumps[1].read_bytes()
+    assert dumps[0].stat().st_size > 0
+
+
+def test_compare_dumps_names_changed_labels(dumps, tmp_path):
+    dump = dumps[0]
     entries = json.loads(dump.read_text())
     compare = [sys.executable, str(REPO / "tools" / "compare_dumps.py"), str(dump)]
     same = subprocess.run(compare + [str(dump)], capture_output=True, text=True, timeout=60)

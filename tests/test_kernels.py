@@ -41,6 +41,8 @@ def test_kernel_integrates_to_one():
 def test_kernel_unknown_family():
     with pytest.raises(ValueError):
         kernel_value("gaussian", 0.0)
+    with pytest.raises(ValueError, match="unknown kernel family"):
+        moments("bogus", INTERIOR, 2)
 
 
 def test_basis_dims_and_powers():

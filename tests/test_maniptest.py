@@ -56,8 +56,12 @@ def test_unrestricted_joint_result_shape(normal_sample):
     assert rec["warnings"] == []
 
 
-def test_unrestricted_distinct_bandwidths_use_separate(normal_sample):
-    res = cutoff_test(normal_sample, 0.0, p=2, h_minus=0.6, h_plus=0.8)
+def test_distinct_bandwidths_need_the_separate_model(normal_sample):
+    # a joint model is never swapped for the separate one behind the caller's back
+    for model in ("unrestricted", "restricted"):
+        with pytest.raises(ValueError, match=f"the {model} model fits one bandwidth.*0.6.*0.8"):
+            cutoff_test(normal_sample, 0.0, p=2, model=model, h_minus=0.6, h_plus=0.8)
+    res = cutoff_test(normal_sample, 0.0, p=2, model="separate", h_minus=0.6, h_plus=0.8)
     assert res.model == "separate"
     assert res.h_minus == 0.6 and res.h_plus == 0.8
 
@@ -96,8 +100,11 @@ def test_cutoff_test_default_bandwidth_is_common_mse(normal_sample, model):
     assert res.model == model
     assert res.h_minus == res.h_plus == h
     assert res == cutoff_test(normal_sample, 0.0, model=model, h_minus=h, h_plus=h)
-    # one missing side takes the common bandwidth; distinct ones go separate
-    one = cutoff_test(normal_sample, 0.0, model=model, h_plus=0.6)
+    # one missing side takes the common bandwidth, which only the separate
+    # model may pair with a distinct one
+    with pytest.raises(ValueError, match=f"the {model} model fits one bandwidth"):
+        cutoff_test(normal_sample, 0.0, model=model, h_plus=0.6)
+    one = cutoff_test(normal_sample, 0.0, model="separate", h_plus=0.6)
     assert one.model == "separate" and one.h_minus == h and one.h_plus == 0.6
 
 

@@ -85,6 +85,18 @@ def test_cdf_derivatives_match_finite_differences(name):
             assert dgp.cdf_deriv(x, k) == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
+def test_truncated_normal_derivatives_are_hermite_closed_forms():
+    # F^(k) = (-1)^(k-1) He_{k-1}(x) phi(x) / z, He the probabilists' Hermite polynomials
+    dgp = get_dgp("truncated_normal")
+    z = 1.0 - norm.cdf(-0.8)
+    closed = (lambda x: 1.0, lambda x: x, lambda x: x**2 - 1.0,
+              lambda x: x**3 - 3.0 * x, lambda x: x**4 - 6.0 * x**2 + 3.0)
+    for k, He in enumerate(closed, start=1):
+        for x in (-0.5, 0.3, 1.1, 2.5):
+            got = (-1.0) ** (k - 1) * dgp.cdf_deriv(x, k) * z / norm.pdf(x)
+            assert got == pytest.approx(He(x), rel=1e-14, abs=0.0)
+
+
 def test_truncated_normal_density_normalizes():
     dgp = get_dgp("truncated_normal")
     z = 1.0 - norm.cdf(-0.8)
