@@ -48,11 +48,11 @@ def _reason_tag(exc: Exception) -> str:
 def render(records, fields, fmt: str) -> str:
     """Records as indented JSON, or as CSV with ``fields`` as the columns.
 
-    JSON takes any JSON value (``lpdens test`` emits one record). CSV writes
-    a header row, ``"\n"`` line endings, and None as an empty cell.
+    JSON takes any JSON value (``lpdens test`` emits one record); NaN or inf
+    raises ValueError. CSV writes a header row, ``"\n"`` endings, None as "".
     """
     if fmt == "json":
-        return json.dumps(records, indent=2)
+        return json.dumps(records, indent=2, allow_nan=False)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
     writer.writeheader()

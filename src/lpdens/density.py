@@ -52,7 +52,7 @@ def default_grid(sample: Sample, n_points: int) -> np.ndarray:
     return np.unique(np.quantile(sample.values, probs, method="inverted_cdf"))
 
 
-def _estimate_point(sample, x, p, v, kernel, alpha, h):
+def _estimate_point(sample, x, p, v, kernel, z, h):
     h = mse_bandwidth(sample, x, p, v, kernel).h if h is None else float(h)
 
     fit_point = fit_local(sample, x, h, p, kernel)
@@ -62,7 +62,6 @@ def _estimate_point(sample, x, p, v, kernel, alpha, h):
     fit_ci = fit_local(sample, x, h, p + 1, kernel)
     f_ci = derivative_estimate(fit_ci, v)
     se = standard_error(sample, fit_ci, v)
-    z = float(ndtri(1.0 - alpha / 2.0))
     return DensityEstimate(
         x=x,
         v=v,
@@ -89,17 +88,19 @@ def estimate_grid(
     """Estimate the order-v derivative over a grid of evaluation points.
 
     ``h`` is a fixed bandwidth for every point; ``None`` selects the
-    pointwise MSE-optimal one. Per-point failures are soft: a failing point
-    is emitted with null estimate fields and an error tag, without
-    affecting other points.
+    pointwise MSE-optimal one. Every interval takes z = Phi^-1(1 - alpha/2),
+    made once per grid and required finite and positive: 0 < alpha < 1 with
+    1 - alpha/2 < 1 in floats (alpha > 2^-53). A failing point is emitted
+    with null estimate fields and an error tag, without affecting others.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise EmptyGrid("empty evaluation grid")
     if not 0 <= v <= p:
         raise ValueError(f"need 0 <= v <= p, got v={v}, p={p}")
-    if not 0.0 < alpha < 1.0:
-        raise InvalidAlpha(f"alpha={alpha} not in (0, 1)")
+    z = float(ndtri(1.0 - alpha / 2.0))
+    if not 0.0 < z < np.inf:
+        raise InvalidAlpha(f"alpha={alpha} gives z={z}; need 0 < alpha < 1 with 1 - alpha/2 < 1")
     if h is not None and not (np.isfinite(h) and h > 0):
         raise ValueError(f"fixed bandwidth must be finite and positive, got {h}")
 
@@ -110,7 +111,7 @@ def estimate_grid(
             out.append(_failed_point(x, v, p, "outside-support"))
             continue
         try:
-            out.append(_estimate_point(sample, x, p, v, kernel, alpha, h))
+            out.append(_estimate_point(sample, x, p, v, kernel, z, h))
         except LpDensError as exc:
             out.append(_failed_point(x, v, p, type(exc).__name__))
     return out

@@ -67,12 +67,11 @@ def dense_gamma_hat(sample: Sample, fit: LocalFit) -> np.ndarray:
     rows lo:hi are columns lo:hi). Memory is one block, at most about 16 MB,
     plus O(m d); nothing is kept between calls.
 
-    The fill runs with numpy's ufunc buffer at 16 elements. At the default
-    8192, numpy 2.4 sends rows shorter than 2,731 elements (a third of the
-    buffer) through its buffered loop, which first copies the broadcast
-    operands; that doubles the fill's time. The caller's size is restored on
-    every exit, and the setting is per thread. Min, multiply and subtract are
-    exact, so the bits cannot change.
+    The fill runs with numpy's ufunc buffer at 16 elements, in an ``np.errstate``
+    scope that restores the caller's size on every exit (per thread). At the
+    default 8192, numpy 2.4 sends rows shorter than 2,731 elements (a third of
+    the buffer) through its buffered loop, which first copies the broadcast
+    operands and doubles the fill's time. Min, multiply and subtract are exact.
 
     The bits are those of the dense ``A.T @ M @ A``. One block is M itself.
     Across blocks each column of ``A' M`` sums the same m terms in the same
@@ -87,19 +86,17 @@ def dense_gamma_hat(sample: Sample, fit: LocalFit) -> np.ndarray:
     buf = np.empty((-(-m // blocks), m))
     rows = max(1, _FILL_ELEMENTS // m)
     AM = np.empty((A.shape[1], m))
-    for i in range(blocks):
-        lo, hi = m * i // blocks, m * (i + 1) // blocks
-        Fi, Mb = F[lo:hi], buf[:hi - lo]
-        old = np.setbufsize(_FILL_BUFSIZE)
-        try:
+    with np.errstate():
+        np.setbufsize(_FILL_BUFSIZE)
+        for i in range(blocks):
+            lo, hi = m * i // blocks, m * (i + 1) // blocks
+            Fi, Mb = F[lo:hi], buf[:hi - lo]
             for a in range(0, hi - lo, rows):
                 Fb = Fi[a:a + rows, None]
                 np.minimum(Fb, F, out=Mb[a:a + rows])
                 Mb[a:a + rows] -= Fb * F
-        finally:
-            np.setbufsize(old)
-        # one block is M itself, in the dense product's memory order
-        AM[:, lo:hi] = A.T @ (Mb if blocks == 1 else Mb.T)
+            # one block is M itself, in the dense product's memory order
+            AM[:, lo:hi] = A.T @ (Mb if blocks == 1 else Mb.T)
     return (AM @ A) / fit.n**2
 
 

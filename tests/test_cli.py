@@ -20,6 +20,10 @@ def _dying_rep(design, hs, rep):
     os._exit(1)
 
 
+def _reject(token):
+    raise ValueError(f"non-JSON constant {token}")
+
+
 @pytest.fixture(scope="module")
 def data_csv(tmp_path_factory):
     rng = np.random.default_rng(41)
@@ -390,12 +394,31 @@ def test_simulate_all_failed_point_is_strict_json(tmp_path, capsys):
         assert main(["simulate", "--design", str(design), "--format", "csv"]) == 0
         csv_text = capsys.readouterr().out
 
-    def reject(token):
-        raise ValueError(f"non-JSON constant {token}")
-
-    (row,) = json.loads(json_text, parse_constant=reject)
+    (row,) = json.loads(json_text, parse_constant=_reject)
     assert [row[k] for k in ("bias", "sd", "rmse", "se_mean", "size")] == [None] * 5
     assert row["fail_rate"] == 1.0 and row["valid"] is False
     header, line = csv_text.splitlines()
     cells = dict(zip(header.split(","), line.split(",")))
     assert [cells[k] for k in ("bias", "sd", "rmse", "se_mean", "size")] == [""] * 5
+
+
+def test_every_subcommand_prints_strict_json(data_csv, design_json, monkeypatch, capsys):
+    # Python's json writes NaN and Infinity unless told not to; no reader of
+    # strict JSON accepts them
+    for argv in (["density", "--input", data_csv],
+                 ["density", "--input", data_csv, "--grid", "5", "--bandwidth", "0.4"],
+                 ["density", "--input", data_csv, "--grid-points=-5.0,1.0"],
+                 ["test", "--input", data_csv, "--cutoff", "1.0"],
+                 ["simulate", "--design", design_json]):
+        assert main(argv) in (0, 2), argv
+        assert json.loads(capsys.readouterr().out, parse_constant=_reject), argv
+    # 1 - alpha/2 rounds to 1, so z would be infinite
+    assert main(["density", "--input", data_csv, "--alpha", "1e-17"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == ["error: invalid-alpha"]
+    monkeypatch.setattr("lpdens.density.standard_error", lambda sample, fit, v: float("nan"))
+    assert main(["density", "--input", data_csv, "--grid", "5"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == ["error: value-error"]

@@ -113,8 +113,12 @@ def test_estimate_grid_fixed_bandwidth(exp_sample):
 def test_estimate_grid_validation(exp_sample):
     with pytest.raises(EmptyGrid):
         estimate_grid(exp_sample, [])
-    with pytest.raises(InvalidAlpha):
-        estimate_grid(exp_sample, [1.0], alpha=1.5)
+    # one check of z = Phi^-1(1 - alpha/2) per grid: at alpha <= 2^-53, 1 - alpha/2 rounds to 1
+    for alpha in (1.5, 1e-17, 2.0**-53, 0.0, 1.0, np.nan, -0.1):
+        with pytest.raises(InvalidAlpha):
+            estimate_grid(exp_sample, [1.0], alpha=alpha)
+    (tiny,) = estimate_grid(exp_sample, [1.0], alpha=2.0**-52)
+    assert tiny.error is None and np.isfinite([tiny.ci_low, tiny.ci_high]).all()
     for h in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             estimate_grid(exp_sample, [1.0], h=h)

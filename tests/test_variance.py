@@ -344,13 +344,12 @@ def test_dense_gamma_hat_restores_the_ufunc_buffer(large_samples, bufsize):
     # size it had, numpy's default or its own
     s = large_samples["raw"]
     fit = fit_local(s, 0.15, 0.2, 2)  # two row blocks
-    old = np.getbufsize() if bufsize is None else np.setbufsize(bufsize)
-    try:
+    with np.errstate():
+        if bufsize is not None:
+            np.setbufsize(bufsize)
         want = np.getbufsize()
         dense_gamma_hat(s, fit)
         assert np.getbufsize() == want
-    finally:
-        np.setbufsize(old)
 
 
 def test_dense_gamma_hat_restores_the_ufunc_buffer_on_error(large_samples, monkeypatch):
@@ -378,12 +377,10 @@ def test_dense_gamma_hat_is_thread_safe(large_samples):
     bufsizes = {"raw": 4096, "heaped": 2 * 8192}
 
     def call(name):
-        old = np.setbufsize(bufsizes[name])
-        try:
+        with np.errstate():
+            np.setbufsize(bufsizes[name])
             start.wait()
             return dense_gamma_hat(large_samples[name], fits[name]), np.getbufsize()
-        finally:
-            np.setbufsize(old)
 
     for _ in range(3):
         with ThreadPoolExecutor(max_workers=2) as pool:
