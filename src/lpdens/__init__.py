@@ -29,7 +29,6 @@ from .variance import (
     gamma_hat,
     jackknife_gamma,
     jackknife_se,
-    plugin_se,
     standard_error,
 )
 
@@ -63,7 +62,6 @@ __all__ = [
     "load_sample",
     "moments",
     "mse_bandwidth",
-    "plugin_se",
     "preliminary_bandwidth",
     "rbc_test",
     "run_design",

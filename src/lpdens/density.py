@@ -87,15 +87,17 @@ def estimate_grid(
 ) -> list[DensityEstimate]:
     """Estimate the order-v derivative over a grid of evaluation points.
 
-    ``h`` is a fixed bandwidth for every point; ``None`` selects the
-    pointwise MSE-optimal one. Every interval takes z = Phi^-1(1 - alpha/2),
-    made once per grid and required finite and positive: 0 < alpha < 1 with
-    1 - alpha/2 < 1 in floats (alpha > 2^-53). A failing point is emitted
-    with null estimate fields and an error tag, without affecting others.
+    Every grid point must be finite. ``h`` is a fixed bandwidth for every point;
+    ``None`` selects the pointwise MSE-optimal one. Every interval takes
+    z = Phi^-1(1 - alpha/2), made once per grid and required finite and positive:
+    0 < alpha < 1 with 1 - alpha/2 < 1 in floats (alpha > 2^-53). A failing
+    point is emitted with null estimate fields and an error tag, without affecting others.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise EmptyGrid("empty evaluation grid")
+    if not np.isfinite(grid).all():
+        raise ValueError(f"grid points must be finite, got {grid[~np.isfinite(grid)].tolist()}")
     if not 0 <= v <= p:
         raise ValueError(f"need 0 <= v <= p, got v={v}, p={p}")
     z = float(ndtri(1.0 - alpha / 2.0))

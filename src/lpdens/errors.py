@@ -34,7 +34,7 @@ class SingularDesign(LpDensError):
 
 
 class NegativeDensity(LpDensError):
-    """Plug-in variance is undefined for a nonpositive density estimate."""
+    """The v = 0 bandwidth search's density pilot is not positive."""
 
 
 class NonPositiveVariance(LpDensError):

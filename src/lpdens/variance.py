@@ -1,9 +1,8 @@
 """Standard errors and the bandwidth pilots' variance constant for the local fit.
 
-Three routes: the automatic Gamma-hat estimator (default, boundary
-adaptive, no support knowledge needed), the jackknife (Gamma-hat plus
-terms from the fit's window; both take O(m d^2) for m in-window points),
-and a plug-in variant from quadrature moment matrices and the estimated density.
+Two routes: the automatic Gamma-hat estimator (default, boundary
+adaptive, no support knowledge needed) and the jackknife (Gamma-hat plus
+terms from the fit's window); both take O(m d^2) for m in-window points.
 The pilots' variance constant takes Gamma-hat too, bar the jump bandwidth's dense O(m^2) form.
 """
 
@@ -11,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NegativeDensity, NonPositiveVariance
-from .kernels import BasisKind, factorial, moments, selector
-from .lpfit import LocalFit, derivative_estimate
+from .errors import NonPositiveVariance
+from .kernels import BasisKind, factorial, selector
+from .lpfit import LocalFit
 from .sample import Sample
 
 #: least elements per row block of the pilot's dense EDF covariance matrix in one GEMM
@@ -163,20 +162,3 @@ def jackknife_se(sample: Sample, fit: LocalFit, v: int, side: str | None = None)
     """Jackknife-based standard error; same assembly as the Gamma-hat route, with Gamma-hat^JK."""
     return _se(fit, jackknife_gamma(sample, fit), selector(fit.p, fit.basis, v, side), v)
 
-
-def plugin_se(sample: Sample, fit: LocalFit, v: int) -> float:
-    """Plug-in standard error of a standard-basis fit: quadrature S and Gamma, estimated f.
-
-    se = sqrt(V / (n h^{2v-1})) with V = (v!)^2 f S^-1 Gamma S^-1. Requires
-    knowledge of the support (through the evaluation region) and a positive
-    density estimate; raises :class:`NegativeDensity` otherwise.
-    """
-    if fit.basis is not BasisKind.STANDARD or fit.p < 1 or v < 1:
-        raise ValueError("plug-in route requires a standard-basis fit, p >= 1 and v >= 1")
-    f_hat = derivative_estimate(fit, 1)
-    if f_hat <= 0:
-        raise NegativeDensity(f"estimated density {f_hat} <= 0 at x={fit.x}")
-    mom = moments(fit.kernel, fit.region, fit.p)
-    z = np.linalg.solve(mom.S, selector(fit.p, BasisKind.STANDARD, v))
-    V_hat = factorial(v) ** 2 * f_hat * float(z @ mom.Gamma @ z)
-    return float(np.sqrt(V_hat / (sample.n * fit.h ** (2 * v - 1))))

@@ -95,6 +95,16 @@ def test_density_bad_fixed_bandwidth_is_a_value_error(data_csv, h, capsys):
     assert "error: value-error" in out.err
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_density_non_finite_grid_point_is_a_value_error(data_csv, fmt, capsys):
+    # the grid is rejected before any point is formatted, so both formats fail alike
+    code = main(["density", "--input", data_csv, "--grid-points", "0.5,nan", "--format", fmt])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err.splitlines() == ["error: value-error"]
+
+
 def test_density_csv_output_file(data_csv, tmp_path, capsys):
     out = tmp_path / "dens.csv"
     code = main(["density", "--input", data_csv, "--grid", "5",

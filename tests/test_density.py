@@ -113,6 +113,10 @@ def test_estimate_grid_fixed_bandwidth(exp_sample):
 def test_estimate_grid_validation(exp_sample):
     with pytest.raises(EmptyGrid):
         estimate_grid(exp_sample, [])
+    # a non-finite point fails the grid, whatever the support: (0, inf) here
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            estimate_grid(exp_sample, [1.0, bad])
     # one check of z = Phi^-1(1 - alpha/2) per grid: at alpha <= 2^-53, 1 - alpha/2 rounds to 1
     for alpha in (1.5, 1e-17, 2.0**-53, 0.0, 1.0, np.nan, -0.1):
         with pytest.raises(InvalidAlpha):

@@ -190,6 +190,9 @@ def test_moments_uniform_lower_boundary_closed_form():
 def test_moments_uniform_gamma_p1_closed_form():
     mom = moments("uniform", INTERIOR, 1)
     assert np.allclose(mom.Gamma, [[-1 / 3, 1 / 6], [1 / 6, 1 / 15]], atol=1e-12)
+    # the density's quadrature variance constant at p = 1: z = S^-1 e_1, z' Gamma z = 9/15
+    z = np.linalg.solve(mom.S, selector(1, BasisKind.STANDARD, 1))
+    assert float(z @ mom.Gamma @ z) == pytest.approx(3 / 5, abs=1e-12)
 
 
 @pytest.mark.parametrize("fam", ["triangular", "epanechnikov", "uniform"])

@@ -1,4 +1,4 @@
-"""Variance estimators: triple-sum identity, jackknife oracle, plug-in."""
+"""Variance estimators: triple-sum identity, jackknife oracle."""
 
 import threading
 import tracemalloc
@@ -9,7 +9,6 @@ import pytest
 
 from oracles import gamma_triple_sum, jackknife_pairwise
 
-from lpdens.errors import NegativeDensity
 from lpdens.kernels import BasisKind, selector
 from lpdens.lpfit import fit_local
 from lpdens.sample import edf_values, load_sample
@@ -19,7 +18,6 @@ from lpdens.variance import (
     gamma_hat,
     jackknife_gamma,
     jackknife_se,
-    plugin_se,
     standard_error,
 )
 
@@ -185,31 +183,6 @@ def test_difference_se_runs_on_joint_fit(small_sample):
     fit = fit_local(small_sample, 0.0, 1.2, 1, basis=BasisKind.UNRESTRICTED)
     se = difference_se(small_sample, fit)
     assert type(se) is float and se > 0
-
-
-def test_plugin_se_matches_derived_value():
-    # f_hat = 1, uniform kernel, interior, p = v = 1:
-    # V = e1' S^-1 Gamma S^-1 e1 = 9 * (1/15) = 3/5
-    vals = np.linspace(0.001, 0.999, 2001)  # near-perfect uniform sample
-    s = load_sample(vals, support=(0.0, 1.0))
-    se = plugin_se(s, fit_local(s, 0.5, 0.3, 1, kernel="uniform"), 1)
-    # se = sqrt(V / (n h)), so se^2 n h recovers V
-    assert se**2 * s.n * 0.3 == pytest.approx(0.6, rel=5e-3)
-
-
-def test_plugin_se_order_guard(small_sample):
-    for fit, v in ((fit_local(small_sample, 0.0, 0.5, 2), 0),
-                   (fit_local(small_sample, 0.0, 0.5, 0), 1),
-                   (fit_local(small_sample, 0.0, 0.5, 2, basis=BasisKind.UNRESTRICTED), 1)):
-        with pytest.raises(ValueError):
-            plugin_se(small_sample, fit, v)
-
-
-def test_plugin_se_negative_density_is_typed(small_sample):
-    # regressing on -F turns every derivative estimate negative, f_hat included
-    fit = fit_local(small_sample, 0.0, 0.5, 2, response=-small_sample.F)
-    with pytest.raises(NegativeDensity):
-        plugin_se(small_sample, fit, 1)
 
 
 @pytest.fixture(scope="module")

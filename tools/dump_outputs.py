@@ -96,7 +96,6 @@ def main(src, out_path):
                     if basis is lp.BasisKind.STANDARD:
                         call(f"standard_error {label}", lp.standard_error, s, fit, 1)
                         call(f"jackknife_se {label}", lp.jackknife_se, s, fit, 1)
-                        call(f"plugin_se {label}", lp.plugin_se, s, fit, 1)
                     else:
                         call(f"difference_se {label}", lp.difference_se, s, fit)
                         call(f"standard_error {label}", lp.standard_error, s, fit, 1, "right")
