@@ -78,10 +78,9 @@ def cmd_density(args) -> int:
     if args.grid_points is not None:
         grid = args.grid_points
     else:
-        grid = density_mod.default_grid(sample, args.grid)
-    h = None if args.bandwidth == "auto" else float(args.bandwidth)
+        grid = density_mod.default_grid(sample, 25 if args.grid is None else args.grid)
     estimates = density_mod.estimate_grid(
-        sample, grid, p=args.p, v=args.v, kernel=args.kernel, h=h, alpha=args.alpha,
+        sample, grid, p=args.p, v=args.v, kernel=args.kernel, h=args.bandwidth, alpha=args.alpha,
     )
     _emit(render([e.record() for e in estimates], density_mod.FIELDS, args.format), args.output)
     failed = [e for e in estimates if e.error is not None]
@@ -131,11 +130,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("density", help="estimate the density over a grid")
     common(sp, formats=True)
     sp.add_argument("--v", type=int, default=1, help="derivative order (default: 1)")
-    sp.add_argument("--grid", type=int, default=25,
-                    help="at most this many quantile grid points (default: 25)")
-    sp.add_argument("--grid-points", type=lambda s: [float(t) for t in s.split(",")],
-                    default=None, help="explicit comma-separated evaluation points")
-    sp.add_argument("--bandwidth", default="auto",
+    # None, not 25, by default: argparse lets a flag equal to its default pass the exclusion
+    grid = sp.add_mutually_exclusive_group()
+    grid.add_argument("--grid", type=int, default=None,
+                      help="at most this many quantile grid points (default: 25)")
+    grid.add_argument("--grid-points", type=lambda s: [float(t) for t in s.split(",")],
+                      default=None, help="explicit comma-separated evaluation points")
+    sp.add_argument("--bandwidth", type=lambda s: None if s == "auto" else float(s), default="auto",
                     help="'auto' for pointwise MSE-optimal, or a fixed value (default: auto)")
     sp.add_argument("--alpha", type=float, default=0.05,
                     help="CI significance level (default: 0.05)")

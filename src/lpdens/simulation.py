@@ -199,10 +199,14 @@ def true_mse_bandwidth(dgp: DGP, x: float, n: int, p: int = 2, v: int = 1, kerne
         if order == 1:
             B = factorial(v) * dgp.cdf_deriv(x, p + 1) / factorial(p + 1) * float(z @ mom.c)
         else:
+            # Fan and Gijbels (1996): f'/f enters through c~ - S~ S^-1 c, S~ = [mu_{i+j+1}]
+            mu = np.concatenate([mom.S[0], mom.c, mom.c_tilde[-1:]])
+            S_tilde = mu[1 + np.add.outer(np.arange(p + 1), np.arange(p + 1))]
+            design = mom.c_tilde - S_tilde @ np.linalg.solve(mom.S, mom.c)
             B = factorial(v) * (
-                dgp.cdf_deriv(x, p + 2) / factorial(p + 2)
+                dgp.cdf_deriv(x, p + 2) / factorial(p + 2) * float(z @ mom.c_tilde)
                 + dgp.cdf_deriv(x, p + 1) / factorial(p + 1) * dgp.cdf_deriv(x, 2) / f
-            ) * float(z @ mom.c_tilde)
+                * float(z @ design))
         h_new = closed_form_h(V, B, n, p, v, order)
         if abs(h_new - h) <= 1e-12 * h:
             return float(h_new)

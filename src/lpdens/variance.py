@@ -3,7 +3,8 @@
 Two routes: the automatic Gamma-hat estimator (default, boundary
 adaptive, no support knowledge needed) and the jackknife (Gamma-hat plus
 terms from the fit's window); both take O(m d^2) for m in-window points.
-The pilots' variance constant takes Gamma-hat too, bar the jump bandwidth's dense O(m^2) form.
+The pilots' variance constant takes Gamma-hat too, bar the jump bandwidth's dense O(m^2)
+form on windows of at most 1,448 points.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from .kernels import BasisKind, factorial, selector
 from .lpfit import LocalFit
 from .sample import Sample
 
-#: least elements per row block of the pilot's dense EDF covariance matrix in one GEMM
-_GEMM_ELEMENTS = 2**20
-#: elements per chunk when filling a row block
+#: largest window whose m x m matrix is filled (m^2 < 2^21, about 16.8 MB); larger ones take gamma_hat
+_DENSE_POINTS = 1_448
+#: elements per chunk of rows when filling M
 _FILL_ELEMENTS = 2**16
 #: numpy's ufunc buffer while filling, its least legal size: only rows under 6 go through it
 _FILL_BUFSIZE = 16
@@ -58,45 +59,31 @@ def dense_gamma_hat(sample: Sample, fit: LocalFit) -> np.ndarray:
     that every jump bandwidth keeps the bits of the dense product: they reach
     h and then the nearly cancelled density jump of ``cutoff_test``. It goes
     when the benchmark's reference outputs are next re-recorded, and those
-    pilots then take :func:`gamma_hat`.
+    pilots then take :func:`gamma_hat`. A window of more than 1,448 points
+    takes :func:`gamma_hat` already, so M is never larger than about 16.8 MB.
 
-    M is never held whole: it is cut into ``max(1, m^2 // 2^20)`` row blocks
-    of equal height (edges ``m i // blocks``), each filled in chunks of about
-    2^16 elements and multiplied straight into ``A' M`` (M is symmetric, so
-    rows lo:hi are columns lo:hi). Memory is one block, at most about 16 MB,
-    plus O(m d); nothing is kept between calls.
-
-    The fill runs with numpy's ufunc buffer at 16 elements, in an ``np.errstate``
-    scope that restores the caller's size on every exit (per thread). At the
-    default 8192, numpy 2.4 sends rows shorter than 2,731 elements (a third of
-    the buffer) through its buffered loop, which first copies the broadcast
-    operands and doubles the fill's time. Min, multiply and subtract are exact.
-
-    The bits are those of the dense ``A.T @ M @ A``. One block is M itself.
-    Across blocks each column of ``A' M`` sums the same m terms in the same
-    order, provided every block's GEMM takes the dense product's BLAS kernel;
-    a short block (below about 1e6 multiply-adds) would not, hence equal heights.
+    M is filled in chunks of about 2^16 elements, with numpy's ufunc buffer
+    at 16 elements, in an ``np.errstate`` scope that restores the caller's
+    size on every exit (per thread). At the default 8192, numpy 2.4 sends rows
+    shorter than 2,731 elements (a third of the buffer) through its buffered
+    loop, which first copies the broadcast operands and doubles the fill's
+    time. Min, multiply and subtract are exact.
     """
+    if fit.m_eff > _DENSE_POINTS:
+        return gamma_hat(sample, fit)
     A = fit.Rw
     F = sample.F[fit.window]
     # xw sorted, EDF monotone, so EDF(min(x_j,x_k)) = min(F_j, F_k)
     m = len(F)
-    blocks = max(1, m * m // _GEMM_ELEMENTS)
-    buf = np.empty((-(-m // blocks), m))
+    M = np.empty((m, m))
     rows = max(1, _FILL_ELEMENTS // m)
-    AM = np.empty((A.shape[1], m))
     with np.errstate():
         np.setbufsize(_FILL_BUFSIZE)
-        for i in range(blocks):
-            lo, hi = m * i // blocks, m * (i + 1) // blocks
-            Fi, Mb = F[lo:hi], buf[:hi - lo]
-            for a in range(0, hi - lo, rows):
-                Fb = Fi[a:a + rows, None]
-                np.minimum(Fb, F, out=Mb[a:a + rows])
-                Mb[a:a + rows] -= Fb * F
-            # one block is M itself, in the dense product's memory order
-            AM[:, lo:hi] = A.T @ (Mb if blocks == 1 else Mb.T)
-    return (AM @ A) / fit.n**2
+        for a in range(0, m, rows):
+            Fb = F[a:a + rows, None]
+            np.minimum(Fb, F, out=M[a:a + rows])
+            M[a:a + rows] -= Fb * F
+    return (A.T @ M @ A) / fit.n**2
 
 
 def variance_constant(fit: LocalFit, G: np.ndarray, v: int) -> float:

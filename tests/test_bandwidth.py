@@ -13,7 +13,13 @@ from lpdens.bandwidth import (
 )
 from lpdens import bandwidth, maniptest, variance
 from lpdens.density import estimate_grid
-from lpdens.errors import NegativeDensity, NonPositiveVariance, ZeroBias, ZeroVariance
+from lpdens.errors import (
+    InsufficientData,
+    NegativeDensity,
+    NonPositiveVariance,
+    ZeroBias,
+    ZeroVariance,
+)
 from lpdens.kernels import factorial, moments, selector
 from lpdens.lpfit import derivative_estimate, fit_local
 from lpdens.sample import load_sample
@@ -159,6 +165,23 @@ def test_mse_bandwidth_cdf_negative_density_pilot_raises():
     assert derivative_estimate(fit_local(s, x, preliminary_bandwidth(s), 3), 1) < 0
     with pytest.raises(NegativeDensity, match="density pilot"):
         mse_bandwidth(s, x, 3, 0)
+
+
+def test_mse_bandwidth_pilot_window_below_p_plus_3_points_raises():
+    # three outliers 8 sd out: the pilot window at the middle one holds just
+    # them, enough for the p = 1 fit but not for the bias constants
+    s = load_sample(np.concatenate([np.random.default_rng(0).normal(size=100), [8.0, 8.1, 8.2]]))
+    with pytest.raises(InsufficientData, match="pilot window holds 3 points, need 4"):
+        mse_bandwidth(s, 8.1, 1, 1)
+
+
+def test_mse_bandwidth_rank_deficient_pilot_gives_no_bandwidth():
+    # the p = 3 pilot window holds three heaps (-0.75, -0.5, -0.25) for four
+    # coefficients; its Cholesky factor exists only by rounding, the variance
+    # quadratic form comes out negative, so V = 0 and h = 0
+    s = load_sample(np.round(np.random.default_rng(3).normal(size=200) / 0.25) * 0.25)
+    with pytest.raises(NonPositiveVariance, match="gives bandwidth 0.0"):
+        mse_bandwidth(s, -0.5, 3, 1)
 
 
 def test_mse_bandwidth_rate_in_n():

@@ -349,10 +349,14 @@ def test_help_lists_defaults(capsys):
 @pytest.mark.parametrize("argv", [
     ["density", "--input", "{csv}", "--p", "abc"],
     ["density", "--input", "{csv}", "--grid-points", "1,x"],
+    ["density", "--input", "{csv}", "--grid", "5", "--grid-points", "0.5"],
+    ["density", "--input", "{csv}", "--grid-points", "0.5", "--grid", "25"],
+    ["density", "--input", "{csv}", "--bandwidth", "abc"],
     ["test", "--input", "{csv}"],
     ["estimate"],
     [],
-], ids=["bad-int", "bad-grid-point", "test-without-cutoff", "unknown-subcommand", "none"])
+], ids=["bad-int", "bad-grid-point", "grid-and-grid-points", "grid-points-and-default-grid",
+        "bad-bandwidth", "test-without-cutoff", "unknown-subcommand", "none"])
 def test_usage_error_exits_1_with_a_tag(data_csv, capsys, argv):
     # exit 2 means partial per-point results, so argparse's own exit 2 is not used
     code = main([a.format(csv=data_csv) for a in argv])

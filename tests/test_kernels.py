@@ -163,6 +163,16 @@ def test_classify_region_degenerate():
         classify_region(0.5, 1.0, 0.5 - 1e-10, 0.5 + 1e-10)
 
 
+def test_moments_rejects_a_negative_order():
+    with pytest.raises(ValueError, match="nonnegative"):
+        moments("triangular", EvalRegion(-1.0, 1.0, "interior"), -1)
+
+
+def test_moments_rejects_a_degenerate_region():
+    with pytest.raises(DegenerateRegion):
+        moments("triangular", EvalRegion(0.3, 0.3, "lower_boundary"), 2)
+
+
 def test_moments_rejects_region_outside_kernel_support():
     # a window past [-1, 1] would put the kernel's kinks at +-1 inside a
     # quadrature segment, so its moments would be silently inexact

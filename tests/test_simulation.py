@@ -142,26 +142,32 @@ def test_true_mse_bandwidth_interior_matches_direct_formula():
     assert h == pytest.approx(closed_form_h(V, B, n, p, v), rel=1e-9)
 
 
-def test_true_mse_bandwidth_second_order_matches_direct_formula():
-    # exponential, p=3, v=1 at x=2 is interior with p-v even: the first-order
-    # bias vanishes, case (b) uses the second-order bias constant
-    from lpdens.bandwidth import closed_form_h
-    from lpdens.kernels import classify_region, moments
+@pytest.mark.parametrize("name,x,p,v,kernel", [
+    ("exponential", 1.5, 2, 2, "triangular"),
+    ("exponential", 2.0, 3, 1, "epanechnikov"),
+    ("exponential", 2.0, 1, 1, "uniform"),
+    ("truncated_normal", 0.5, 3, 1, "triangular"),
+])
+def test_true_mse_bandwidth_second_order_bias_matches_a_population_fit(monkeypatch, name, x, p, v, kernel):
+    # an interior point with p - v even: the order-(p+2-v) bias of the local
+    # fit to the population CDF, on a quantile grid so dense that only the
+    # bias is left, is the constant B that the closed form is given
+    from lpdens.lpfit import fit_local
+    from lpdens.sample import load_sample
 
-    dgp = get_dgp("exponential")
-    n, p, v = 2000, 3, 1
-    h = true_mse_bandwidth(dgp, 2.0, n, p, v)
-    region = classify_region(2.0, h, 0.0, np.inf)
-    assert region.is_interior
-    mom = moments("triangular", region, p)
-    e = np.zeros(p + 1)
-    e[v] = 1.0
-    z = np.linalg.solve(mom.S, e)
-    f = dgp.pdf(2.0)
-    V = f * float(z @ mom.Gamma @ z)
-    B = (dgp.cdf_deriv(2.0, 5) / 120.0
-         + dgp.cdf_deriv(2.0, 4) / 24.0 * dgp.cdf_deriv(2.0, 2) / f) * float(z @ mom.c_tilde)
-    assert h == pytest.approx(closed_form_h(V, B, n, p, v, 2), rel=1e-9)
+    dgp = get_dgp(name)
+    n, h = 2_000_000, 0.1
+    s = load_sample(dgp.icdf((np.arange(n) + 0.5) / n), support=dgp.support)
+    fit = fit_local(s, x, h, p, kernel, response=dgp.cdf(s.values))
+    measured = (math.factorial(v) * fit.beta[v] - dgp.cdf_deriv(x, v)) / h ** (p + 2 - v)
+    seen = []
+    closed_form_h = simulation.closed_form_h
+    monkeypatch.setattr(simulation, "closed_form_h",
+                        lambda V, B, *args: seen.append((B, args[-1])) or closed_form_h(V, B, *args))
+    true_mse_bandwidth(dgp, x, 10**6, p, v, kernel)
+    B, order = seen[-1]
+    assert order == 2
+    assert B == pytest.approx(measured, rel=0.01)
 
 
 def _assert_boundary_fixed_point(x, n, name="exponential", p=2):
@@ -196,11 +202,16 @@ def test_true_mse_bandwidth_boundary_fixed_point_oscillating():
     _assert_boundary_fixed_point(0.5, 400)
 
 
-def test_true_mse_bandwidth_boundary_fixed_point_two_cycle():
-    # g falls through h near 1.657 with a log slope of about -3.3, so the
-    # damped steps enter a 2-cycle; the bisection on the bracket settles
-    h = _assert_boundary_fixed_point(0.45, 400, "truncated_normal", p=1)
-    assert h == pytest.approx(1.65656, rel=1e-5)
+def test_true_mse_bandwidth_boundary_fixed_point_by_bisection(monkeypatch):
+    # neither the plain steps (a 3-cycle) nor the damped ones settle on the
+    # fixed point near 1.716; the bisection on the bracket does, after step 200
+    steps = []
+    classify = simulation.classify_region
+    monkeypatch.setattr(simulation, "classify_region",
+                        lambda x, h, lo, hi: steps.append(h) or classify(x, h, lo, hi))
+    h = _assert_boundary_fixed_point(0.55, 400, "truncated_normal", p=1)
+    assert h == pytest.approx(1.71556, rel=1e-5)
+    assert len(steps) > 200
 
 
 def test_true_mse_bandwidth_without_fixed_point_raises(monkeypatch):

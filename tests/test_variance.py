@@ -192,7 +192,7 @@ def large_samples():
 
 
 def _dense_gamma(s, fit):
-    """The dense n^-2 A' M A that dense_gamma_hat streams in row blocks."""
+    """The dense n^-2 A' M A, with M held whole."""
     A = fit.R * fit.w[:, None]
     F = edf_values(s, fit.xw)
     M = np.minimum.outer(F, F)
@@ -200,57 +200,69 @@ def _dense_gamma(s, fit):
     return (A.T @ M @ A) / fit.n**2
 
 
-#: the shortest broadcast row that numpy 2.4, at its default ufunc buffer of
-#: 8,192 elements, does not copy through the buffer (a third of it, rounded up)
-_UNBUFFERED_ROW = 2_731
+#: the largest window dense_gamma_hat fills as one m x m matrix
+_DENSE_POINTS = 1_448
 
-# (basis, h) -> (x, the row blocks dense_gamma_hat cuts the window's m x m matrix
-# into, the range of m), on raw and heaped data alike: m of 2,000 to 3,000,
-# then m of about 1,400 (one block), 1,600 (two blocks) and 4,950 (23
-# blocks); then m just below and just above numpy's unbuffered switch, and m
-# of about 230, whose one block is filled in one chunk (m^2 <= 2^16)
+#: h at x = 0.15 whose window on the raw sample holds exactly 1,448 and 1,449 points
+_H_1448, _H_1449 = 0.180858, 0.181181
+
+# (basis, h) -> (x, the range of m) of windows that dense_gamma_hat fills, on
+# raw and heaped data alike: m of 1,300 to 1,448, and m of about 230, whose
+# matrix is filled in one chunk (m^2 <= 2^16)
 _DENSE_WINDOWS = {
-    (BasisKind.STANDARD, 0.26): (0.1, range(3, 9), range(2_000, 3_000)),
-    (BasisKind.UNRESTRICTED, 0.3): (0.1, range(3, 9), range(2_000, 3_000)),
-    (BasisKind.RESTRICTED, 0.38): (0.1, range(3, 9), range(2_000, 3_000)),
-    **{(basis, h): (x, blocks, m) for basis in BasisKind
-       for x, h, blocks, m in ((0.15, 0.17, [1], range(1_300, 1_500)),
-                               (0.15, 0.2, [2], range(1_500, 1_700)),
-                               (0.15, 0.68, [23], range(4_800, 5_100)),
-                               (0.15, 0.35, [6, 7], range(2_650, _UNBUFFERED_ROW)),
-                               (0.35, 0.37, [7], range(_UNBUFFERED_ROW, 2_800)),
-                               (2.3, 0.36, [1], range(2**8 + 1)))},
+    (basis, h): (x, m) for basis in BasisKind
+    for x, h, m in ((0.15, 0.17, range(1_300, _DENSE_POINTS + 1)),
+                    (2.3, 0.36, range(2**8 + 1)))
 }
 
 
 @pytest.mark.parametrize("data", ["raw", "heaped", "heaped-after-larger"])
 @pytest.mark.parametrize("basis,h", list(_DENSE_WINDOWS))
 def test_dense_gamma_hat_bit_identical_to_dense_outer_form(large_samples, data, basis, h):
-    # the streamed row blocks do the same per-element arithmetic and the same
-    # GEMM column sums as the dense expression; compared in-process, since
-    # the GEMM bits depend on the BLAS thread count
+    # the chunked fill does the same per-element arithmetic and the same GEMM
+    # as the dense expression; compared in-process, since the GEMM bits
+    # depend on the BLAS thread count
     name, _, after_larger = data.partition("-")
     s = large_samples[name]
-    x, blocks, m = _DENSE_WINDOWS[basis, h]
+    x, m = _DENSE_WINDOWS[basis, h]
     fit = fit_local(s, x, h, 2, basis=basis)
-    assert fit.m_eff in m and max(1, fit.m_eff**2 // 2**20) in blocks
+    assert fit.m_eff in m
     if after_larger:
-        # no state carries from one call to the next: a larger window first
-        # leaves nothing that changes this one
-        larger = fit_local(s, 0.1, 0.8, 2)
-        assert larger.m_eff > fit.m_eff
-        dense_gamma_hat(s, larger)
+        # no state carries from one call to the next: the largest filled
+        # window first leaves nothing that changes this one
+        larger = fit_local(large_samples["raw"], 0.15, _H_1448, 2)
+        assert fit.m_eff < larger.m_eff == _DENSE_POINTS
+        dense_gamma_hat(large_samples["raw"], larger)
     assert np.array_equal(dense_gamma_hat(s, fit), _dense_gamma(s, fit))
 
 
+@pytest.mark.parametrize("basis", list(BasisKind))
+@pytest.mark.parametrize("h,m,want", [(_H_1448, _DENSE_POINTS, _dense_gamma),
+                                      (_H_1449, _DENSE_POINTS + 1, gamma_hat)])
+def test_dense_gamma_hat_switches_to_gamma_hat_above_1448_points(large_samples, basis, h, m, want):
+    s = large_samples["raw"]
+    fit = fit_local(s, 0.15, h, 2, basis=basis)
+    assert fit.m_eff == m
+    assert np.array_equal(dense_gamma_hat(s, fit), want(s, fit))
+
+
 @pytest.mark.parametrize("data", ["raw", "heaped"])
-def test_dense_gamma_hat_one_block_is_the_dense_product_at_d_1(large_samples, data):
-    # one row block is M itself, so even numpy's matrix-vector product for a
-    # p = 0 fit (d = 1) sums in the dense order; the transposed block moves
-    # the last bits in both of these windows
+@pytest.mark.parametrize("basis", list(BasisKind))
+@pytest.mark.parametrize("h,m", [(0.2, range(1_500, 1_700)), (0.68, range(4_800, 5_100))])
+def test_dense_gamma_hat_above_1448_points_is_gamma_hat(large_samples, data, basis, h, m):
+    s = large_samples[data]
+    fit = fit_local(s, 0.15, h, 2, basis=basis)
+    assert fit.m_eff in m
+    assert np.array_equal(dense_gamma_hat(s, fit), gamma_hat(s, fit))
+
+
+@pytest.mark.parametrize("data", ["raw", "heaped"])
+def test_dense_gamma_hat_is_the_dense_product_at_d_1(large_samples, data):
+    # M is held whole, so even numpy's matrix-vector product for a p = 0 fit
+    # (d = 1) sums in the dense order
     s = large_samples[data]
     fit = fit_local(s, 0.15, 0.1, 0)
-    assert fit.R.shape[1] == 1 and max(1, fit.m_eff**2 // 2**20) == 1
+    assert fit.R.shape[1] == 1 and fit.m_eff <= _DENSE_POINTS
     assert np.array_equal(dense_gamma_hat(s, fit), _dense_gamma(s, fit))
 
 
@@ -270,19 +282,25 @@ def test_gamma_hat_matches_long_double_dense_oracle(data):
     assert err <= 1e-13 * np.max(np.abs(want))
 
 
-def test_dense_gamma_hat_peak_memory_is_one_matrix():
-    # the dense m x m matrix would be about 980 MB here; one row block is at
-    # most about 16 MB, and the rest is O(m d)
+@pytest.mark.parametrize("m", [_DENSE_POINTS, _DENSE_POINTS + 1, 10_000])
+def test_dense_gamma_hat_holds_one_matrix_only_up_to_1448_points(m):
+    # the m x m matrix takes about 16.8 MB at 1,448 points; a larger window
+    # holds a few m x d arrays, as gamma_hat does (a dense matrix would take
+    # 800 MB at 10,000 points)
     s = load_sample(np.random.default_rng(17).normal(size=40_000))
-    fit = fit_local(s, 0.0, 0.35, 2)
-    assert fit.m_eff >= 10_000
+    dist = np.sort(np.abs(s.values))
+    fit = fit_local(s, 0.0, (dist[m - 1] + dist[m]) / 2, 2)
+    assert fit.m_eff == m
     tracemalloc.start()
     try:
         dense_gamma_hat(s, fit)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    if m <= _DENSE_POINTS:
+        assert 8 * m * m <= peak < 8 * m * m + 4 * fit.Rw.nbytes + 2**20
+    else:
+        assert peak < 4 * fit.Rw.nbytes
 
 
 @pytest.mark.parametrize("basis", list(BasisKind))
@@ -316,7 +334,7 @@ def test_dense_gamma_hat_restores_the_ufunc_buffer(large_samples, bufsize):
     # the fill runs with a 16-element ufunc buffer; the caller gets back the
     # size it had, numpy's default or its own
     s = large_samples["raw"]
-    fit = fit_local(s, 0.15, 0.2, 2)  # two row blocks
+    fit = fit_local(s, 0.15, 0.17, 2)  # 1,379 points, filled
     with np.errstate():
         if bufsize is not None:
             np.setbufsize(bufsize)
@@ -328,7 +346,7 @@ def test_dense_gamma_hat_restores_the_ufunc_buffer(large_samples, bufsize):
 def test_dense_gamma_hat_restores_the_ufunc_buffer_on_error(large_samples, monkeypatch):
     # a fill that fails midway, as when a chunk cannot be allocated
     s = large_samples["raw"]
-    fit = fit_local(s, 0.15, 0.2, 2)
+    fit = fit_local(s, 0.15, 0.17, 2)
     want = np.getbufsize()
 
     def fail(*args, **kwargs):
@@ -341,8 +359,9 @@ def test_dense_gamma_hat_restores_the_ufunc_buffer_on_error(large_samples, monke
 
 
 def test_dense_gamma_hat_is_thread_safe(large_samples):
-    fits = {name: fit_local(s, 0.1, 0.3, 2) for name, s in large_samples.items()}
+    fits = {name: fit_local(s, 0.15, 0.17, 2) for name, s in large_samples.items()}
     assert fits["raw"].m_eff != fits["heaped"].m_eff
+    assert max(fit.m_eff for fit in fits.values()) <= _DENSE_POINTS
     serial = {name: dense_gamma_hat(large_samples[name], fit) for name, fit in fits.items()}
     start = threading.Barrier(2)
     # numpy's ufunc buffer size is per thread: each worker sets its own, and

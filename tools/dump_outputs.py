@@ -127,10 +127,17 @@ def main(src, out_path):
         for x in (designs[name][0], xs[3]):
             for p in (2, 3):
                 call(f"true_mse_bandwidth {name} x={x} p={p}", lp.true_mse_bandwidth, dgp, x, 500, p)
-    # fixed points that the plain and damped steps miss and the bracket settles
-    for name, x, p, v in (("truncated_normal", 0.45, 1, 1), ("exponential", 1.1, 3, 2)):
+    # fixed points that the plain and damped steps miss and the bracket settles,
+    # bar truncated normal x = 0.45, an interior fixed point with p - v even
+    for name, x, p, v in (("truncated_normal", 0.45, 1, 1), ("truncated_normal", 0.55, 1, 1),
+                          ("exponential", 1.1, 3, 2)):
         call(f"true_mse_bandwidth {name} x={x} n=400 p={p} v={v}", lp.true_mse_bandwidth,
              lp.get_dgp(name), x, 400, p, v)
+    # interior fixed points with p - v even: the second-order bias constant
+    for name, x in (("exponential", 2.0), ("truncated_normal", 0.5)):
+        for p in (1, 2):
+            call(f"true_mse_bandwidth {name} x={x} n=500 p={p} v={p}", lp.true_mse_bandwidth,
+                 lp.get_dgp(name), x, 500, p, p)
     call("default_grid rounded 25", lp.default_grid, samples["rounded"], 25)
     # typed failures: a negative v = 0 density pilot, an evaluation point outside the
     # support, a negative seed, a non-integer n, an order above p with a fixed bandwidth
@@ -145,6 +152,9 @@ def main(src, out_path):
          {"dgp": "exponential", "eval_points": (1.0,), "n": 500.5, "reps": 40})
     call("estimate_grid raw p=2 v=3 h=0.3", lp.estimate_grid,
          samples["raw"], (0.0,), 2, 3, h=0.3)
+    # a jump bandwidth whose side pilots hold 1,708 and 1,639 points, past the dense Gamma-hat
+    s = lp.load_sample(np.random.default_rng(2024).normal(size=50_000))
+    call("diff_mse_bandwidth normal50000 c=0.0 p=2", lp.diff_mse_bandwidth, s, 0.0, 2)
 
     regions = {"interior": (0.5, 0.2), "lower": (0.05, 0.2), "lower-edge": (0.0, 0.2), "upper": (0.9, 0.2)}
     for family in kernels.KERNEL_FAMILIES:
