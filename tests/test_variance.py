@@ -215,6 +215,20 @@ _DENSE_WINDOWS = {
                     (2.3, 0.36, range(2**8 + 1)))
 }
 
+# (basis, h) -> (x, the range of m) of windows above 1,448 points, which
+# dense_gamma_hat hands to gamma_hat, on raw and heaped data alike: m of 2,000
+# to 3,000, then m of about 1,600, 4,950, 2,700 and 2,750
+_LARGE_WINDOWS = {
+    (BasisKind.STANDARD, 0.26): (0.1, range(2_000, 3_000)),
+    (BasisKind.UNRESTRICTED, 0.3): (0.1, range(2_000, 3_000)),
+    (BasisKind.RESTRICTED, 0.38): (0.1, range(2_000, 3_000)),
+    **{(basis, h): (x, m) for basis in BasisKind
+       for x, h, m in ((0.15, 0.2, range(1_500, 1_700)),
+                       (0.15, 0.68, range(4_800, 5_100)),
+                       (0.15, 0.35, range(2_650, 2_731)),
+                       (0.35, 0.37, range(2_731, 2_800)))},
+}
+
 
 @pytest.mark.parametrize("data", ["raw", "heaped", "heaped-after-larger"])
 @pytest.mark.parametrize("basis,h", list(_DENSE_WINDOWS))
@@ -246,13 +260,19 @@ def test_dense_gamma_hat_switches_to_gamma_hat_above_1448_points(large_samples, 
     assert np.array_equal(dense_gamma_hat(s, fit), want(s, fit))
 
 
-@pytest.mark.parametrize("data", ["raw", "heaped"])
-@pytest.mark.parametrize("basis", list(BasisKind))
-@pytest.mark.parametrize("h,m", [(0.2, range(1_500, 1_700)), (0.68, range(4_800, 5_100))])
-def test_dense_gamma_hat_above_1448_points_is_gamma_hat(large_samples, data, basis, h, m):
-    s = large_samples[data]
-    fit = fit_local(s, 0.15, h, 2, basis=basis)
+@pytest.mark.parametrize("data", ["raw", "heaped", "heaped-after-larger"])
+@pytest.mark.parametrize("basis,h", list(_LARGE_WINDOWS))
+def test_dense_gamma_hat_above_1448_points_is_gamma_hat(large_samples, data, basis, h):
+    name, _, after_larger = data.partition("-")
+    s = large_samples[name]
+    x, m = _LARGE_WINDOWS[basis, h]
+    fit = fit_local(s, x, h, 2, basis=basis)
     assert fit.m_eff in m
+    if after_larger:
+        # the largest filled window first leaves nothing that changes this one
+        larger = fit_local(large_samples["raw"], 0.15, _H_1448, 2)
+        assert larger.m_eff == _DENSE_POINTS
+        dense_gamma_hat(large_samples["raw"], larger)
     assert np.array_equal(dense_gamma_hat(s, fit), gamma_hat(s, fit))
 
 
@@ -319,13 +339,13 @@ def test_gamma_hat_peak_memory_is_o_of_m_d(basis):
 
 
 @pytest.mark.parametrize("data", ["raw", "heaped"])
-@pytest.mark.parametrize("basis,h", list(_DENSE_WINDOWS))
+@pytest.mark.parametrize("basis,h", list(_DENSE_WINDOWS | _LARGE_WINDOWS))
 def test_gamma_hat_matches_the_dense_pilot_form(large_samples, data, basis, h):
-    # the suffix sums and the jump bandwidth pilots' dense product sum the same
-    # terms in different orders
+    # the suffix sums and the dense product (the jump bandwidth pilots' on
+    # windows of at most 1,448 points) sum the same terms in different orders
     s = large_samples[data]
-    fit = fit_local(s, _DENSE_WINDOWS[basis, h][0], h, 2, basis=basis)
-    dense = dense_gamma_hat(s, fit)
+    fit = fit_local(s, (_DENSE_WINDOWS | _LARGE_WINDOWS)[basis, h][0], h, 2, basis=basis)
+    dense = _dense_gamma(s, fit)
     assert np.max(np.abs(gamma_hat(s, fit) - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
